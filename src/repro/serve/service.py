@@ -95,6 +95,10 @@ class Ticket:
         #: Absolute monotonic deadline, set by the service at admission.
         self.deadline: Optional[float] = None
         self.token = CancelToken()
+        #: Called with no arguments, on the completing thread, right after
+        #: the ticket resolves — lets an event loop block until some
+        #: ticket finishes instead of polling :attr:`done`.
+        self.on_complete: Optional[Callable[[], None]] = None
         self._event = threading.Event()
         self._response: Optional[QueryResponse] = None
 
@@ -125,6 +129,11 @@ class Ticket:
     def _complete(self, response: QueryResponse) -> None:
         self._response = response
         self._event.set()
+        # Read after the event is set: a hook installed after this read
+        # finds ``done`` already true, so no completion goes unnoticed.
+        hook = self.on_complete
+        if hook is not None:
+            hook()
 
 
 class QueryService:

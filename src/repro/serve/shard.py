@@ -50,9 +50,16 @@ Child → parent::
                                disk and is refusing to publish
 
 Either direction may wrap consecutive messages as ``("batch", [msgs])``
-— one pipe write (one syscall, one pickle) per poll-loop pass instead of
-one per message; both ends unwrap transparently.  ``ShardConfig.pipe_batch``
-turns it off for A/B measurement.
+— one pipe write (one syscall, one pickle) per worker-loop pass or
+sender-thread drain instead of one per message; both ends unwrap
+transparently.
+
+Neither end polls.  The worker loop blocks on its pipe plus a
+:class:`Wakeup` fd that finished tickets (:attr:`Ticket.on_complete`)
+and the store's ship hooks signal, so a response or a shipped record
+leaves the moment it exists; while idle it still wakes every 50 ms to
+re-check the fence.  The supervisor on the other end blocks on every
+live pipe at once (see :mod:`repro.serve.supervisor`).
 
 Zero-loss argument, end to end: the front door keeps every submitted
 ``(rid, payload)`` until the owning shard's ``response`` arrives.  Inside
@@ -74,6 +81,7 @@ response send (an ``exit`` plan is kill-before-ack).
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
 import queue
 import threading
@@ -139,9 +147,6 @@ class ShardConfig:
             (:func:`repro.durable.replication.fence_path`); a worker that
             finds a *newer* token there refuses to publish and reports
             ``("fenced", ...)`` instead — the zombie half of fencing.
-        pipe_batch: coalesce pipe messages into per-pass batches (on by
-            default; the throughput micro-bench flips it for its
-            control run).
     """
 
     workers: int = 1
@@ -158,7 +163,6 @@ class ShardConfig:
     replicate: bool = False
     fence_token: int = 0
     fence_file: Optional[str] = None
-    pipe_batch: bool = True
 
 
 # -- the wire codec -------------------------------------------------------------
@@ -306,14 +310,62 @@ def _visit(site: str) -> None:
         hook(site)
 
 
+class Wakeup:
+    """A self-pipe an event loop can block on next to its connections
+    (:func:`multiprocessing.connection.wait` accepts it): :meth:`set`
+    makes it readable from any thread, :meth:`clear` drains it.
+
+    :meth:`close` is ordered against :meth:`set` under a lock, so a
+    late signal from a straggling thread is dropped rather than written
+    to a closed — or, worse, reused — file descriptor.
+    """
+
+    def __init__(self) -> None:
+        self._read, self._write = os.pipe()
+        os.set_blocking(self._read, False)
+        os.set_blocking(self._write, False)
+        self._lock = threading.Lock()
+        self._open = True
+
+    def fileno(self) -> int:
+        return self._read
+
+    def set(self) -> None:
+        with self._lock:
+            if not self._open:
+                return
+            try:
+                os.write(self._write, b"\0")
+            except BlockingIOError:
+                pass  # the pipe is full: it is readable already
+
+    def clear(self) -> None:
+        try:
+            while os.read(self._read, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        with self._lock:
+            if self._open:
+                self._open = False
+                os.close(self._read)
+                os.close(self._write)
+
+
+#: How often an idle worker re-checks the fence file.  A worker with work
+#: in flight re-checks before each publish instead.
+_FENCE_RECHECK_S = 0.05
+
+
 class _Outgoing:
     """The worker's per-pass send buffer: messages accumulate during one
-    poll-loop pass and leave as a single ``("batch", [...])`` pipe write
-    (or individually, with batching off / a single message)."""
+    loop pass and leave as one pipe write — bare when there is one, as a
+    ``("batch", [...])`` envelope when there are more."""
 
-    def __init__(self, conn: Any, batch: bool):
+    def __init__(self, conn: Any):
         self.conn = conn
-        self.batch = batch
         self.buffer: List[Tuple[Any, ...]] = []
 
     def send(self, message: Tuple[Any, ...]) -> None:
@@ -322,18 +374,17 @@ class _Outgoing:
     def flush(self) -> None:
         if not self.buffer:
             return
-        if self.batch and len(self.buffer) > 1:
-            self.conn.send(("batch", self.buffer))
-            self.buffer = []
+        if len(self.buffer) == 1:
+            self.conn.send(self.buffer[0])
         else:
-            for message in self.buffer:
-                self.conn.send(message)
-            self.buffer = []
+            self.conn.send(("batch", self.buffer))
+        self.buffer = []
 
 
 def _drain_inbox(conn: Any, timeout: float) -> List[Tuple[Any, ...]]:
     """Every message waiting on *conn* (waiting up to *timeout* for the
-    first), with ``("batch", ...)`` envelopes unwrapped."""
+    first), with ``("batch", ...)`` envelopes unwrapped.  Raises
+    ``EOFError`` once the parent's end is gone."""
     messages: List[Tuple[Any, ...]] = []
     while conn.poll(timeout if not messages else 0.0):
         message = conn.recv()
@@ -410,6 +461,9 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                 held=held,
             )
 
+    # Signalled by every finished ticket and every shipped record: the
+    # loop below sleeps until there is something to publish.
+    wakeup = Wakeup()
     store = None
     durability = None
     ship_queue: Optional["queue.Queue[Tuple[Any, ...]]"] = None
@@ -434,10 +488,12 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                 _visit("repl.ship")
                 seq_box[0] += 1
                 ship_queue.put(("ship", seq_box[0], index, payload))
+                wakeup.set()
 
             def _on_compact(index: int, data: bytes) -> None:
                 seq_box[0] += 1
                 ship_queue.put(("ship-compact", seq_box[0], index, data))
+                wakeup.set()
 
             store.on_append = _on_append
             store.on_compact = _on_compact
@@ -457,12 +513,19 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
 
     pending: Dict[int, Ticket] = {}
     recovered: List[int] = []
+
+    def _track(rid: int, ticket: Ticket) -> None:
+        # A ticket that finished before its hook was set is caught by the
+        # ``done`` scan that follows in the same loop pass.
+        ticket.on_complete = wakeup.set
+        pending[rid] = ticket
+
     if store is not None:
         for rid, ticket in service.recover(resubmit=True).items():
             if rid.isdigit():
-                pending[int(rid)] = ticket
+                _track(int(rid), ticket)
                 recovered.append(int(rid))
-    out = _Outgoing(conn, config.pipe_batch)
+    out = _Outgoing(conn)
     conn.send(("ready", shard_id, os.getpid()))
     conn.send(("recovered", sorted(recovered)))
 
@@ -487,14 +550,25 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
     try:
         while True:
             _visit("shard.loop")
-            for message in _drain_inbox(conn, 0.0 if pending else 0.01):
+            # Sleep until a message, a finished ticket or a shipped record
+            # arrives; an idle worker also wakes for its fence re-check.
+            idle_wait = (
+                None
+                if pending
+                else max(0.0, fence_checked + _FENCE_RECHECK_S - _now())
+            )
+            multiprocessing.connection.wait([conn, wakeup], idle_wait)
+            # Cleared before the scans below: a signal raised after this
+            # line leaves the fd readable and wakes the next pass.
+            wakeup.clear()
+            for message in _drain_inbox(conn, 0.0):
                 kind = message[0]
                 if kind == "submit":
                     rid, payload = message[1], message[2]
                     started = _now()
                     request = QueryRequest.from_payload(payload)
                     try:
-                        pending[rid] = service.submit(request, request_id=rid)
+                        _track(rid, service.submit(request, request_id=rid))
                     except ReproError as exc:
                         out.send(
                             ("response", rid, _rejection_response(exc, started))
@@ -523,7 +597,7 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                     closing = True
                     break
             done_rids = [rid for rid in pending if pending[rid].done]
-            if done_rids or _now() - fence_checked >= 0.05:
+            if done_rids or _now() - fence_checked >= _FENCE_RECHECK_S:
                 # Fencing: always re-checked before publishing a
                 # response, and periodically while idle.
                 fence_checked = _now()
@@ -563,6 +637,7 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
             service.close(wait=False, timeout=1.0)
         if store is not None:
             store.close()
+        wakeup.close()
 
 
 def _standby_main(shard_id: int, conn: Any, config: ShardConfig) -> Optional[int]:
@@ -572,7 +647,7 @@ def _standby_main(shard_id: int, conn: Any, config: ShardConfig) -> Optional[int
     from repro.durable.replication import ReplicaWal
 
     replica = ReplicaWal(_wal_root(shard_id, config), fsync=config.fsync)
-    out = _Outgoing(conn, config.pipe_batch)
+    out = _Outgoing(conn)
     conn.send(("ready", shard_id, os.getpid()))
     conn.send(("sync-request",))
 
@@ -674,6 +749,10 @@ class ShardHandle:
     #: rids currently assigned to this shard (owned by the supervisor's
     #: pending registry; mirrored here for cheap reassignment).
     generation: int = 0
+    #: A read hit the end of the pipe: the worker's end is closed.  An EOF
+    #: pipe is always readable, so the supervisor leaves it out of its
+    #: wait set until a tick reaps the process.
+    eof: bool = False
     _outbox: Any = field(default=None, repr=False, compare=False)
     _inbox: List[Tuple[Any, ...]] = field(
         default_factory=list, repr=False, compare=False
@@ -693,6 +772,7 @@ class ShardHandle:
         child_end.close()
         self.conn = parent_end
         self.generation += 1
+        self.eof = False
         self._inbox = []
         # A fresh outbox per generation: the old sender thread stays
         # married to the old pipe and dies with it (its blocked write
@@ -700,31 +780,30 @@ class ShardHandle:
         self._outbox = queue.Queue()
         threading.Thread(
             target=self._send_loop,
-            args=(parent_end, self._outbox, self.config.pipe_batch),
+            args=(parent_end, self._outbox),
             name=f"repro-shard-{self.shard_id}{suffix}-send",
             daemon=True,
         ).start()
 
     @staticmethod
-    def _send_loop(conn: Any, outbox: Any, batch: bool) -> None:
+    def _send_loop(conn: Any, outbox: Any) -> None:
         exhausted = False
         while not exhausted:
             message = outbox.get()
             if message is None:
                 return
             messages = [message]
-            if batch:
-                # Greedy drain: everything already enqueued (a bulk
-                # resend, a burst of submits) leaves as one pipe write.
-                while True:
-                    try:
-                        extra = outbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is None:
-                        exhausted = True
-                        break
-                    messages.append(extra)
+            # Greedy drain: everything already enqueued (a bulk resend, a
+            # burst of submits) leaves as one pipe write.
+            while True:
+                try:
+                    extra = outbox.get_nowait()
+                except queue.Empty:
+                    break
+                if extra is None:
+                    exhausted = True
+                    break
+                messages.append(extra)
             try:
                 if len(messages) > 1:
                     conn.send(("batch", messages))
@@ -732,6 +811,13 @@ class ShardHandle:
                     conn.send(messages[0])
             except (BrokenPipeError, ValueError, OSError):
                 return
+            except TypeError:
+                # The supervisor closed the pipe between two partial
+                # writes of a large message (the worker died or was
+                # killed): the connection's handle is None now.
+                if conn.closed:
+                    return
+                raise
 
     def send(self, message: Tuple[Any, ...]) -> bool:
         """Enqueue for the sender thread; ``False`` when the worker end
@@ -751,14 +837,18 @@ class ShardHandle:
         try:
             return self.conn.poll(0.0)
         except (BrokenPipeError, OSError):
+            self.eof = True
             return False
 
     def recv(self) -> Optional[Tuple[Any, ...]]:
+        """The next message, or ``None`` at end of pipe (then :attr:`eof`
+        is set)."""
         if self._inbox:
             return self._inbox.pop(0)
         try:
             message = self.conn.recv()
         except (EOFError, BrokenPipeError, OSError):
+            self.eof = True
             return None
         if message and message[0] == "batch":
             self._inbox = list(message[1])

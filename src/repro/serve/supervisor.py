@@ -18,11 +18,14 @@ per-shard state machine::
     DOWN --(restart budget spent)-> FAILED
     UP  --(close())---------------> STOPPED
 
-Each tick it drains shard messages (completing caller tickets from
-``response`` payloads), pings live shards, declares a shard dead on a
-process exit or hung after ``miss_limit`` consecutive unanswered pings
-(hung workers are SIGKILLed — a stuck interpreter cannot be reasoned
-with), and schedules restarts under **bounded exponential backoff**
+Between ticks it blocks on every live primary and standby pipe at once
+and handles each message the moment it arrives: ``response`` payloads
+complete caller tickets, and ship, manifest, fetch and segment messages
+are relayed on.  Every ``heartbeat_interval`` it ticks: it pings live
+shards, declares a shard dead on a process exit or hung after
+``miss_limit`` consecutive unanswered pings (hung workers are SIGKILLed
+— a stuck interpreter cannot be reasoned with), and schedules restarts
+under **bounded exponential backoff**
 stretched by a per-shard :class:`~repro.robust.breaker.CircuitBreaker`
 (crash = failure; surviving ``stable_after`` seconds = success), so a
 crash-looping shard backs off instead of burning CPU on spawn loops.  A
@@ -74,11 +77,12 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.durable.replication import (
     fence_path,
@@ -98,7 +102,7 @@ from repro.serve.request import (
 )
 from repro.serve.routing import WAL_SLOTS, failover_order, wal_slot
 from repro.serve.service import Ticket
-from repro.serve.shard import ShardConfig, ShardHandle, decode_response
+from repro.serve.shard import ShardConfig, ShardHandle, Wakeup, decode_response
 
 __all__ = [
     "ShardedQueryService",
@@ -201,7 +205,9 @@ class ShardedQueryService:
             shard.
         fsync / every_seconds: each shard store's fsync policy and
             checkpoint cadence.
-        heartbeat_interval: supervisor tick (ping cadence), seconds.
+        heartbeat_interval: supervisor tick, seconds: the cadence of
+            pings and of crash, hang and restart handling.  Responses and
+            relayed replication messages do not wait for it.
         miss_limit: consecutive unanswered pings before a shard is
             declared hung and killed (``miss_limit // 2`` marks SUSPECT).
         restart_backoff / max_backoff: exponential restart delay bounds.
@@ -234,8 +240,6 @@ class ShardedQueryService:
             would never be a warm standby to promote).
         start_timeout: how long the constructor blocks for the fleet to
             come up (:meth:`wait_ready`); ``0`` returns immediately.
-        pipe_batch: coalesce pipe messages into per-pass batches on both
-            pipe ends (default on; the throughput micro-bench flips it).
     """
 
     def __init__(
@@ -265,7 +269,6 @@ class ShardedQueryService:
         crash_after: Optional[int] = None,
         start_timeout: float = 30.0,
         clock: Any = time.monotonic,
-        pipe_batch: bool = True,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -310,7 +313,6 @@ class ShardedQueryService:
                 default_budget_wall_clock=default_budget_wall_clock,
                 fault_plans=tuple(fault_plans),
                 crash_after=crash_after,
-                pipe_batch=pipe_batch,
             )
             handle = ShardHandle(shard_id=k, config=config, ctx=self._ctx)
             breaker = CircuitBreaker(
@@ -648,9 +650,14 @@ class ShardedQueryService:
         )
 
 
+#: One shard-state step the supervisor runs: a drain or a tick.
+_Drain = Callable[[_ShardState], None]
+
+
 class Supervisor(threading.Thread):
-    """The single thread that keeps the shard fleet honest: heartbeats,
-    message draining, crash detection, bounded restarts, failover."""
+    """The single thread that keeps the shard fleet honest: message
+    delivery on arrival, heartbeats, crash detection, bounded restarts,
+    failover."""
 
     def __init__(self, service: ShardedQueryService):
         super().__init__(name="repro-shard-supervisor", daemon=True)
@@ -658,21 +665,60 @@ class Supervisor(threading.Thread):
         # Not named _stop: threading.Thread has a private _stop() method
         # the interpreter itself calls on join.
         self._halt = threading.Event()
+        self._wakeup = Wakeup()
 
     def stop(self, join_timeout: float = 5.0) -> None:
         self._halt.set()
+        self._wakeup.set()
         if self.is_alive():
             self.join(join_timeout)
+        if not self.is_alive():
+            self._wakeup.close()
 
     def run(self) -> None:
-        while not self._halt.wait(self.service.heartbeat_interval):
-            for state in self.service._shards:
-                try:
-                    self._tick(state)
-                except Exception:  # pragma: no cover - the supervisor
-                    # must survive anything one shard's bookkeeping throws;
-                    # a dead supervisor means no restarts ever again.
-                    pass
+        interval = self.service.heartbeat_interval
+        next_tick = time.monotonic() + interval
+        while not self._halt.is_set():
+            timeout = next_tick - time.monotonic()
+            if timeout <= 0:
+                for state in self.service._shards:
+                    self._guarded(self._tick, state)
+                next_tick = time.monotonic() + interval
+                continue
+            readers = self._readers()
+            try:
+                ready = multiprocessing.connection.wait(
+                    list(readers) + [self._wakeup], timeout
+                )
+            except (OSError, ValueError):
+                continue  # a pipe closed under us: rebuild the wait set
+            for conn in ready:
+                if conn in readers:
+                    drain, state = readers[conn]
+                    self._guarded(drain, state)
+
+    def _readers(self) -> Dict[Any, Tuple[_Drain, _ShardState]]:
+        """Every pipe worth waiting on, mapped to its drain.  A pipe at
+        EOF stays out — it would be readable forever and spin the loop —
+        until the next tick sees the exit and reaps the worker."""
+        readers: Dict[Any, Tuple[_Drain, _ShardState]] = {}
+        for state in self.service._shards:
+            for handle, drain in (
+                (state.handle, self._drain),
+                (state.standby, self._drain_standby),
+            ):
+                if handle is not None and handle.conn is not None and not handle.eof:
+                    readers[handle.conn] = (drain, state)
+        return readers
+
+    @staticmethod
+    def _guarded(step: _Drain, state: _ShardState) -> None:
+        try:
+            step(state)
+        except Exception:  # pragma: no cover - the supervisor must
+            # survive anything one shard's bookkeeping throws; a dead
+            # supervisor means no restarts ever again.
+            pass
 
     # -- one shard, one tick ----------------------------------------------------
 

@@ -140,6 +140,22 @@ class TestShipping:
         finally:
             service.close()
 
+    def test_standby_warms_without_waiting_for_a_tick(self, tmp_path):
+        # Sync request, manifest, segment fetches and the warm report are
+        # relayed as they arrive, not one hop per heartbeat.
+        interval = 2.0
+        started = time.monotonic()
+        service = _service(tmp_path, heartbeat_interval=interval)
+        try:
+            _wait_for(
+                lambda: _shard(service)["standby_state"] == "warm",
+                message="standby warm",
+            )
+            elapsed = time.monotonic() - started
+        finally:
+            service.close()
+        assert elapsed < interval / 2, elapsed
+
 
 class TestPromotion:
     def test_sigkill_promotes_the_warm_standby_and_loses_nothing(self, tmp_path):

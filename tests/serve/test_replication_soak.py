@@ -10,8 +10,12 @@ byte-identical to the unsharded oracle, and afterwards a resurrected
 ex-primary on its old WAL slot must provably refuse to publish
 (``("fenced", ...)`` before it so much as opens its store).
 
-The killer only shoots a primary whose standby is warm, and each kill is
-confirmed by the shard's fencing token bumping before it counts; a kill
+The killer only shoots a primary whose standby is warm, and just before
+each SIGKILL it submits one heavy request (over a second of engine
+work) routed to the victim, so every kill lands with that request in
+flight and the promoted standby must replay or be resent it; heavy
+requests must come back ``ok`` with their oracle model too.  Each kill
+is confirmed by the shard's fencing token bumping before it counts; a kill
 that loses the warm/crash race (the supervisor defers promotion and
 grace-restarts instead) is retried until the milestone's promotion
 lands, so ``N_KILLS`` means exactly that many observed promotions.  Any
@@ -44,6 +48,7 @@ from repro.serve import (
     ShardConfig,
     ShardDown,
     ShardedQueryService,
+    route,
 )
 from repro.serve.routing import WAL_SLOTS, wal_slot
 from repro.serve.shard import shard_worker_main
@@ -61,6 +66,18 @@ N_KILLS = int(os.environ.get("REPRO_REPL_KILLS", "3"))
 N_SHARDS = 2
 N_SEEDS = 10  # request i runs seed i % N_SEEDS
 N_SUBMITTERS = 4
+
+#: The killer's request: SORTING on enough items for over a second of
+#: engine work in a durable shard, so a SIGKILL sent right after it is
+#: submitted always lands while it is in flight.
+HEAVY_FACTS = {"p": [(f"h{i}", (7919 * i) % 100003) for i in range(6000)]}
+#: A program class per shard that ``route`` maps to it.
+HEAVY_CLASS = {
+    shard: next(
+        f"heavy-{i}" for i in range(64) if route(f"heavy-{i}", N_SHARDS) == shard
+    )
+    for shard in range(N_SHARDS)
+}
 
 #: When set (nightly CI), the WAL directory is copied here on failure so
 #: both replica slots of every shard can be uploaded as an artifact.
@@ -112,8 +129,13 @@ def _prove_zombie_is_fenced(wal_root: str, shard_id: int, old_slot: str):
     return messages
 
 
+def _heavy_request(shard_id: int) -> QueryRequest:
+    return QueryRequest(SORTING, HEAVY_FACTS, seed=0, klass=HEAVY_CLASS[shard_id])
+
+
 def test_replication_soak_every_kill_promotes_zero_lost(tmp_path):
     expected = _expected_models()
+    expected_heavy = dumps_facts(solve_program(SORTING, HEAVY_FACTS, seed=0))
     wal_root = tmp_path / "wal"
     service = ShardedQueryService(
         shards=N_SHARDS,
@@ -135,6 +157,7 @@ def test_replication_soak_every_kill_promotes_zero_lost(tmp_path):
     errors = []
     rng = random.Random(0xFE11CE)
     promotions_observed = []  # (shard_id, old_slot, new_token)
+    heavy_tickets = []
     submitted = [0]
     submitted_lock = threading.Lock()
 
@@ -155,9 +178,10 @@ def test_replication_soak_every_kill_promotes_zero_lost(tmp_path):
 
     def killer() -> None:
         # One confirmed promotion per evenly spaced submission milestone.
-        # A victim qualifies only while up with a *warm* standby, and the
-        # kill is confirmed by its fencing token bumping — under
-        # max_restarts=0 that bump can only come from a promotion.
+        # A victim qualifies only while up with a *warm* standby, is shot
+        # with a heavy request of its own in flight, and the kill is
+        # confirmed by its fencing token bumping — under max_restarts=0
+        # that bump can only come from a promotion.
         try:
             for k in range(N_KILLS):
                 mark = (k + 1) * N_REQUESTS // (N_KILLS + 1)
@@ -168,7 +192,6 @@ def test_replication_soak_every_kill_promotes_zero_lost(tmp_path):
                         break
                     time.sleep(0.005)
                 deadline = time.monotonic() + 240
-                prefer_busy_until = time.monotonic() + 60
                 while time.monotonic() < deadline:
                     candidates = [
                         s
@@ -181,20 +204,20 @@ def test_replication_soak_every_kill_promotes_zero_lost(tmp_path):
                     if not candidates:
                         time.sleep(0.01)
                         continue
-                    # Prefer a victim with in-flight work: a kill that
-                    # lands on a drained shard proves promotion but not
-                    # the replay/resend half of the zero-loss argument.
-                    with service._pending_lock:
-                        owned = {e.shard_id for e in service._pending.values()}
-                    busy = [
-                        s for s in candidates if s.handle.shard_id in owned
-                    ]
-                    if not busy and time.monotonic() < prefer_busy_until:
-                        time.sleep(0.002)
-                        continue
-                    victim = rng.choice(busy or candidates)
+                    victim = rng.choice(candidates)
                     token_before = victim.fence_token
                     old_slot = victim.slot
+                    try:
+                        heavy = service.submit(
+                            _heavy_request(victim.handle.shard_id)
+                        )
+                    except ShardDown:
+                        continue
+                    heavy_tickets.append(heavy)
+                    with service._pending_lock:
+                        entry = service._pending.get(heavy.request_id)
+                    if entry is None or entry.shard_id != victim.handle.shard_id:
+                        continue  # the victim went down under us: pick again
                     try:
                         os.kill(victim.pid, signal.SIGKILL)
                     except ProcessLookupError:
@@ -243,6 +266,10 @@ def test_replication_soak_every_kill_promotes_zero_lost(tmp_path):
                 continue
             if dumps_facts(response.database) != expected[i % N_SEEDS]:
                 wrong.append(i)
+        for ticket in heavy_tickets:
+            response = ticket.response(timeout=300)
+            assert response.status == OK, (response.status, response.error)
+            assert dumps_facts(response.database) == expected_heavy
 
         counters = service.stats()["counters"]
         try:

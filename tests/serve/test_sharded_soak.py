@@ -6,6 +6,12 @@ random points, and **every** request still resolves ``ok`` with a model
 byte-identical to the unsharded oracle — killed shards' WALs are
 replayed through ``recover()`` on restart and unacked work is resent.
 
+Kill coverage is deterministic: just before each SIGKILL the killer
+submits one heavy request (over a second of engine work) routed to the
+victim, so every kill lands with that request in flight and the
+restarted shard must replay or be resent it.  Heavy requests must come
+back ``ok`` with their oracle model too.
+
 ``ShardDown`` is a *typed, expected* rejection while every candidate
 shard is simultaneously down (a kill landing during another shard's
 restart window); the documented client contract is to retry after the
@@ -28,7 +34,7 @@ import threading
 import time
 
 from repro.core.compiler import solve_program
-from repro.serve import OK, QueryRequest, ShardDown, ShardedQueryService
+from repro.serve import OK, QueryRequest, ShardDown, ShardedQueryService, route
 from repro.storage.io import dumps_facts
 
 SORTING = """
@@ -43,6 +49,18 @@ N_KILLS = int(os.environ.get("REPRO_SHARD_SOAK_KILLS", "3"))
 N_SHARDS = int(os.environ.get("REPRO_SHARD_WORKERS", "2"))
 N_SEEDS = 10  # request i runs seed i % N_SEEDS
 N_SUBMITTERS = 4
+
+#: The killer's request: SORTING on enough items for over a second of
+#: engine work in a durable shard, so a SIGKILL sent right after it is
+#: submitted always lands while it is in flight.
+HEAVY_FACTS = {"p": [(f"h{i}", (7919 * i) % 100003) for i in range(6000)]}
+#: A program class per shard that ``route`` maps to it.
+HEAVY_CLASS = {
+    shard: next(
+        f"heavy-{i}" for i in range(64) if route(f"heavy-{i}", N_SHARDS) == shard
+    )
+    for shard in range(N_SHARDS)
+}
 
 #: When set (nightly CI), the shard WAL directory is copied here on
 #: failure so the run's journals can be uploaded as a debugging artifact.
@@ -60,8 +78,13 @@ def _expected_models():
     }
 
 
+def _heavy_request(shard_id: int) -> QueryRequest:
+    return QueryRequest(SORTING, HEAVY_FACTS, seed=0, klass=HEAVY_CLASS[shard_id])
+
+
 def test_sharded_soak_zero_lost_under_random_sigkills(tmp_path):
     expected = _expected_models()
+    expected_heavy = dumps_facts(solve_program(SORTING, HEAVY_FACTS, seed=0))
     wal_root = tmp_path / "wal"
     service = ShardedQueryService(
         shards=N_SHARDS,
@@ -80,6 +103,7 @@ def test_sharded_soak_zero_lost_under_random_sigkills(tmp_path):
     errors = []
     rng = random.Random(0xC0FFEE)
     kills = []
+    heavy_tickets = []
     submitted = [0]
     submitted_lock = threading.Lock()
 
@@ -101,9 +125,10 @@ def test_sharded_soak_zero_lost_under_random_sigkills(tmp_path):
     def killer() -> None:
         # One confirmed SIGKILL per evenly spaced submission milestone —
         # mid-stream by construction.  Each kill targets a *live* up
-        # shard and waits for the supervisor to respawn it (generation
-        # bump) before arming the next one, so every entry in ``kills``
-        # is a distinct observed crash, never a shot at a corpse.
+        # shard with a heavy request of its own in flight, and waits for
+        # the supervisor to respawn it (generation bump) before arming
+        # the next one, so every entry in ``kills`` is a distinct
+        # observed crash, never a shot at a corpse or an idle shard.
         try:
             for k in range(N_KILLS):
                 mark = (k + 1) * N_REQUESTS // (N_KILLS + 1)
@@ -125,6 +150,17 @@ def test_sharded_soak_zero_lost_under_random_sigkills(tmp_path):
                         continue
                     victim = rng.choice(candidates)
                     generation = victim.handle.generation
+                    try:
+                        heavy = service.submit(
+                            _heavy_request(victim.handle.shard_id)
+                        )
+                    except ShardDown:
+                        continue
+                    heavy_tickets.append(heavy)
+                    with service._pending_lock:
+                        entry = service._pending.get(heavy.request_id)
+                    if entry is None or entry.shard_id != victim.handle.shard_id:
+                        continue  # the victim went down under us: pick again
                     try:
                         os.kill(victim.pid, signal.SIGKILL)
                     except ProcessLookupError:
@@ -165,6 +201,10 @@ def test_sharded_soak_zero_lost_under_random_sigkills(tmp_path):
                 continue
             if dumps_facts(response.database) != expected[i % N_SEEDS]:
                 wrong.append(i)
+        for ticket in heavy_tickets:
+            response = ticket.response(timeout=300)
+            assert response.status == OK, (response.status, response.error)
+            assert dumps_facts(response.database) == expected_heavy
 
         counters = service.stats()["counters"]
         try:

@@ -9,6 +9,7 @@ high-volume acceptance soak lives in ``test_sharded_soak.py``.
 from __future__ import annotations
 
 import os
+import resource
 import signal
 import time
 
@@ -149,6 +150,37 @@ class TestHangDetection:
             assert response.status == OK
             assert dumps_facts(response.database) == _expected(1)
             assert service.stats()["counters"]["crashes"] >= 1
+        finally:
+            service.close()
+
+
+def _cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+class TestNoSpin:
+    def test_a_dead_workers_pipe_does_not_spin_the_front_door(self):
+        # The supervisor blocks on every live pipe between ticks.  A
+        # SIGKILLed worker's pipe is at EOF — readable forever — so it
+        # must leave the wait set until the tick reaps the crash, or the
+        # front door burns a core for up to an interval.
+        service = ShardedQueryService(shards=1, heartbeat_interval=1.0)
+        try:
+            state = service._shards[0]
+            # Shoot right after a tick, so the crash stays unreaped for
+            # most of an interval.
+            seq = state.ping_seq
+            _wait_for(lambda: state.ping_seq != seq, message="a heartbeat tick")
+            wall, cpu = time.monotonic(), _cpu_seconds()
+            os.kill(state.pid, signal.SIGKILL)
+            _wait_for(
+                lambda: service.stats()["counters"].get("crashes", 0) >= 1,
+                message="the tick to reap the crash",
+            )
+            wall, cpu = time.monotonic() - wall, _cpu_seconds() - cpu
+            assert wall >= 0.5, wall  # long enough to tell a spin
+            assert cpu < 0.25 * wall, (cpu, wall)
         finally:
             service.close()
 
