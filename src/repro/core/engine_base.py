@@ -196,17 +196,26 @@ class ChoiceMemo:
         twin._chosen = set(self._chosen)
         return twin
 
-    def export_state(self) -> Dict[str, Any]:
-        """A serializable snapshot of the FD maps and the chosen set
+    def snapshot_state(self) -> Dict[str, Any]:
+        """Unsorted copies of the FD maps and the chosen set
         (checkpointing; see :mod:`repro.robust.checkpoint`)."""
         return {
-            "maps": [sorted(mapping.items(), key=order_key) for mapping in self._maps],
-            "chosen": sorted(self._chosen, key=order_key),
+            "maps": [dict(mapping) for mapping in self._maps],
+            "chosen": set(self._chosen),
+        }
+
+    @staticmethod
+    def freeze_state(state: Dict[str, Any]) -> Dict[str, Any]:
+        """The serializable form of a :meth:`snapshot_state`: maps and
+        chosen set sorted by ``order_key``."""
+        return {
+            "maps": [sorted(mapping.items(), key=order_key) for mapping in state["maps"]],
+            "chosen": sorted(state["chosen"], key=order_key),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Overwrite with a snapshot from :meth:`export_state` of a memo
-        for the same rule.  The restored state is a superset of whatever
+        """Overwrite with a :meth:`freeze_state` snapshot of a memo for
+        the same rule.  The restored state is a superset of whatever
         :meth:`absorb_head_fact` rebuilt from the database, so overwrite
         (not merge) is correct."""
         self._maps = [

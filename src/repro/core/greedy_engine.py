@@ -435,8 +435,11 @@ class GreedyStageEngine(BasicStageEngine):
         state.absorb(produced)
         feed(produced)
         # Seed with candidate facts already in the database (EDB candidates
-        # like matching's arcs, or facts loaded before this clique ran).
-        for fact in list(db.facts(*plan.candidate_atom.key)):
+        # like matching's arcs, or facts loaded before this clique ran), in
+        # canonical order: heap ties pop in insertion order, and set order
+        # varies with string hashing and with how the relation was filled
+        # (a restored checkpoint re-asserts it sorted).
+        for fact in sorted(db.facts(*plan.candidate_atom.key), key=repr):
             if match_args(plan.candidate_atom.args, fact, {}) is not None:
                 structure.insert(fact)
 

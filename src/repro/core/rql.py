@@ -31,6 +31,7 @@ congruence signatures to live heap entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.datalog.builtins import order_key
@@ -207,19 +208,19 @@ class RQLStructure:
 
     # -- checkpointing -------------------------------------------------------------
 
-    def export_state(self) -> Dict[str, Any]:
-        """A serializable snapshot of the live structure.
+    def snapshot_state(self) -> Dict[str, Any]:
+        """A copy of the live structure, with unsorted seen/used sets.
 
-        The queue is exported in tiebreak (insertion) order without its
+        The queue is copied in tiebreak (insertion) order without its
         priorities — :meth:`load_state` recomputes them from the spec, so
         no priority wrapper ever has to survive serialization — and
         re-inserting in that order preserves equal-priority pop order.
         """
-        entries = sorted(self.queue.live_entries(), key=lambda e: e.tiebreak)
+        entries = sorted(self.queue.live_entries(), key=attrgetter("tiebreak"))
         return {
             "queue": [entry.item for entry in entries],
-            "seen": sorted(self._seen, key=order_key),
-            "used": sorted(self._used, key=order_key),
+            "seen": set(self._seen),
+            "used": set(self._used),
             "stats": [
                 self.stats.inserted,
                 self.stats.replaced,
@@ -229,8 +230,19 @@ class RQLStructure:
             ],
         }
 
+    @staticmethod
+    def freeze_state(state: Dict[str, Any]) -> Dict[str, Any]:
+        """The serializable form of a :meth:`snapshot_state`: seen and
+        used sets sorted by ``order_key``."""
+        return {
+            "queue": list(state["queue"]),
+            "seen": sorted(state["seen"], key=order_key),
+            "used": sorted(state["used"], key=order_key),
+            "stats": list(state["stats"]),
+        }
+
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Overwrite the structure with a snapshot from :meth:`export_state`
+        """Overwrite the structure with a :meth:`freeze_state` snapshot
         (captured under the same :class:`CongruenceSpec`)."""
         self.queue.clear()
         self._entries.clear()

@@ -29,12 +29,14 @@ once at construction:
     entry cursor is unchanged is skipped outright (its recorded exit
     cursor is re-used); a touched unit re-runs its clique subprogram
     from its entry cursor — reproducing exactly the draws the
-    from-scratch engine would make.  Under the ``rql`` engine, stage
-    units additionally keep a tape of mid-run governor checkpoints, and
-    a deletion-only batch hitting just the clique's candidate predicate
-    resumes from the newest safe checkpoint instead of replaying the
-    whole greedy loop (see :meth:`MaterializedView._try_stage_fast_path`
-    for the soundness guards).
+    from-scratch engine would make.  Under the ``rql`` engine, a stage
+    unit whose candidate predicate lies outside the clique additionally
+    keeps a tape of mid-run snapshots, and a deletion-only batch hitting
+    just that predicate resumes from the newest safe one instead of
+    replaying the whole greedy loop (see
+    :meth:`MaterializedView._fast_path_plan` and
+    :meth:`MaterializedView._try_stage_fast_path` for the soundness
+    guards).
 
 The invariant, enforced by the differential test battery: after any
 sequence of applied batches, ``view.db`` equals
@@ -51,6 +53,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.compiler import _make_engine, compile_program
 from repro.core.rewriting import premappable_extrema
+from repro.core.rql import CongruenceSpec
 from repro.core.stage_analysis import CliqueReport
 from repro.datalog.atoms import Atom, NegatedConjunction, Negation
 from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache
@@ -59,6 +62,7 @@ from repro.errors import UpdateError
 from repro.incremental import maintain
 from repro.incremental.update import UpdateBatch
 from repro.obs.tracer import Tracer
+from repro.robust import checkpoint
 from repro.robust.governor import RunGovernor
 from repro.storage.database import Database
 
@@ -70,21 +74,24 @@ DeltaPair = Tuple[Set[Fact], Set[Fact]]
 
 
 class StageCheckpointTape:
-    """A durability writer that keeps mid-run checkpoints *in memory*.
+    """A durability writer that keeps mid-run snapshots *in memory*.
 
     Plugged into a :class:`~repro.robust.governor.RunGovernor` as its
     ``durability`` sink, so the governor's γ-step/round ticks drive
-    checkpoint capture for free.  Capture cadence starts at
-    :data:`INTERVAL` ticks and doubles whenever the tape would exceed
-    :data:`LIMIT` entries (keeping every other checkpoint), so long runs
-    hold at most ``LIMIT`` evenly thinned resume points.
+    snapshotting for free.  Each entry is an unsorted
+    :class:`~repro.robust.checkpoint.Snapshot` (plain container copies);
+    only the one a fast-path resume starts from is ever frozen into a
+    checkpoint.  Cadence starts at :data:`INTERVAL` ticks and doubles
+    whenever the tape would exceed :data:`LIMIT` entries (keeping every
+    other snapshot), so long runs hold at most ``LIMIT`` evenly thinned
+    resume points.
     """
 
     INTERVAL = 16
     LIMIT = 8
 
     def __init__(self) -> None:
-        self.checkpoints: List[Any] = []
+        self.snapshots: List[Any] = []
         self._engine: Any = None
         self._db: Any = None
         self._interval = self.INTERVAL
@@ -100,11 +107,9 @@ class StageCheckpointTape:
         self._ticks += 1
         if self._ticks % self._interval:
             return
-        from repro.robust.checkpoint import capture
-
-        self.checkpoints.append(capture(self._engine, self._db))
-        if len(self.checkpoints) > self.LIMIT:
-            self.checkpoints = self.checkpoints[::2]
+        self.snapshots.append(checkpoint.snapshot(self._engine, self._db))
+        if len(self.snapshots) > self.LIMIT:
+            self.snapshots = self.snapshots[::2]
             self._interval *= 2
 
 
@@ -127,9 +132,11 @@ class _Unit:
     subprogram: Optional[Program] = None
     rng_entry: Any = None
     rng_exit: Any = None
+    #: ``(head, candidate, congruence spec)`` of a stage unit whose fast
+    #: path can ever fire (see :meth:`MaterializedView._fast_path_plan`);
+    #: only such units record a tape.
+    fast_path: Optional[Tuple[PredicateKey, PredicateKey, CongruenceSpec]] = None
     tape: List[Any] = field(default_factory=list)
-    fallbacks: Dict[PredicateKey, str] = field(default_factory=dict)
-    rql_info: Dict[PredicateKey, Tuple[Any, Any]] = field(default_factory=dict)
 
 
 @dataclass
@@ -246,9 +253,9 @@ class MaterializedView:
             ground=ground,
         )
         if report.kind in ("choice", "stage"):
-            return _Unit(
-                kind="rng", subprogram=Program.of(clique.rules), **base
-            )
+            unit = _Unit(kind="rng", subprogram=Program.of(clique.rules), **base)
+            unit.fast_path = self._fast_path_plan(unit)
+            return unit
         if not clique.is_recursive:
             if any(rule.extrema_goals for rule in clique.rules):
                 return _Unit(kind="once", **base)
@@ -592,7 +599,7 @@ class MaterializedView:
         rng.setstate(cursor)
         tape: Optional[StageCheckpointTape] = None
         governor = None
-        if self.engine == "rql" and unit.report.kind == "stage":
+        if unit.fast_path is not None:
             tape = StageCheckpointTape()
             governor = RunGovernor(durability=tape)
         engine = _make_engine(
@@ -612,12 +619,7 @@ class MaterializedView:
                 relation.add(fact)
         unit.rng_entry = cursor
         unit.rng_exit = engine.rng.getstate() if hasattr(engine, "rng") else cursor
-        unit.tape = tape.checkpoints if tape is not None else []
-        unit.fallbacks = dict(getattr(engine, "fallbacks", {}) or {})
-        unit.rql_info = {
-            plan.rule.head.key: (plan.candidate_atom, plan.spec)
-            for plan, _state, _structure in getattr(engine, "_resumable", ())
-        }
+        unit.tape = tape.snapshots if tape is not None else []
         if self.tracer.enabled:
             self.tracer.event(
                 "incremental-rng-recompute",
@@ -627,48 +629,41 @@ class MaterializedView:
 
     # -- stage checkpoint fast path ----------------------------------------------
 
-    def _try_stage_fast_path(
-        self,
-        unit: _Unit,
-        touched: Set[PredicateKey],
-        changed: Dict[PredicateKey, DeltaPair],
-    ) -> bool:
-        """Resume a stage unit from a mid-run checkpoint for a
-        deletion-only batch on its candidate predicate.
+    def _fast_path_plan(
+        self, unit: _Unit
+    ) -> Optional[Tuple[PredicateKey, PredicateKey, CongruenceSpec]]:
+        """``(head, candidate, spec)`` when :meth:`_try_stage_fast_path`
+        can ever resume *unit*, else ``None``.
 
-        Sound when every guard below holds, because then the deleted
-        facts influence the recorded run *only* through the (R, Q, L)
-        candidate structure: the candidate predicate feeds nothing but
-        the single candidate atom, the exit-choice draws are independent
-        of it, and the greedy drain consumes no rng.  A checkpoint is
-        usable for deleted fact ``f`` only if ``f``'s congruence class
-        was never used *and* no congruent sibling of ``f`` was ever seen
-        at capture time — a congruent sibling may have been retired or
-        replaced because of ``f``, and the from-scratch run without
-        ``f`` would still hold it, so resuming past that interaction
-        would diverge.  Restoring re-seeds the structure from the purged
-        candidate relation, so the deleted facts never re-enter.
+        Decided once, before the unit first runs, from the guards that no
+        batch can change: the ``rql`` engine on a stage clique whose one
+        ``next`` rule gets an (R, Q, L) plan, with a candidate predicate
+        outside the clique that the clique's rules read exactly once,
+        positively.  Only units that pass pay for a checkpoint tape.
         """
         if self.engine != "rql" or unit.report.kind != "stage":
-            return False
-        if not unit.tape or unit.fallbacks or len(unit.rql_info) != 1:
-            return False
-        if self._rng_cursor != unit.rng_entry:
-            return False
-        ((head_key, (candidate_atom, spec)),) = unit.rql_info.items()
-        candidate_key = candidate_atom.key
-        if touched != {candidate_key} or candidate_key in unit.predicates:
-            return False
-        added, removed = changed[candidate_key]
-        if added or not removed:
-            return False
+            return None
+        engine = _make_engine(
+            self.engine, unit.subprogram, None, order=self.order, extrema=self.extrema
+        )
+        plans = [
+            engine._rql_plan(report)
+            for report in engine.analysis.reports
+            if report.kind == "stage"
+        ]
+        if len(plans) != 1 or isinstance(plans[0], str):
+            return None
+        plan = plans[0]
+        candidate_key = plan.candidate_atom.key
+        if candidate_key in unit.predicates:
+            return None
         positive = 0
         for rule in unit.rules:
             for literal in rule.body:
                 if isinstance(literal, Atom) and literal.key == candidate_key:
                     positive += 1
                 elif isinstance(literal, Negation) and literal.atom.key == candidate_key:
-                    return False
+                    return None
                 elif isinstance(literal, NegatedConjunction):
                     for inner in literal.literals:
                         atom = (
@@ -677,70 +672,89 @@ class MaterializedView:
                             else None
                         )
                         if atom is not None and atom.key == candidate_key:
-                            return False
+                            return None
         if positive != 1:
+            return None
+        return plan.rule.head.key, candidate_key, plan.spec
+
+    def _try_stage_fast_path(
+        self,
+        unit: _Unit,
+        touched: Set[PredicateKey],
+        changed: Dict[PredicateKey, DeltaPair],
+    ) -> bool:
+        """Resume a stage unit from a mid-run snapshot for a
+        deletion-only batch on its candidate predicate.
+
+        Sound when every guard below and in :meth:`_fast_path_plan`
+        holds, because then the deleted facts influence the recorded run
+        *only* through the (R, Q, L) candidate structure: the candidate
+        predicate feeds nothing but the single candidate atom, the
+        exit-choice draws are independent of it, and the greedy drain
+        consumes no rng.  A snapshot is usable for deleted fact ``f``
+        only if ``f``'s congruence class was never used *and* no
+        congruent sibling of ``f`` was ever seen at snapshot time — a
+        congruent sibling may have been retired or replaced because of
+        ``f``, and the from-scratch run without ``f`` would still hold
+        it, so resuming past that interaction would diverge.  Restoring
+        re-seeds the structure from the purged candidate relation, so the
+        deleted facts never re-enter.  Only the chosen snapshot is frozen.
+        """
+        if unit.fast_path is None or not unit.tape:
+            return False
+        if self._rng_cursor != unit.rng_entry:
+            return False
+        head_key, candidate_key, spec = unit.fast_path
+        if touched != {candidate_key}:
+            return False
+        added, removed = changed[candidate_key]
+        if added or not removed:
             return False
         signatures = {spec.signature(fact) for fact in removed}
         chosen = None
-        for cp in reversed(unit.tape):
-            state = cp.rql.get(head_key)
-            if state is None:
+        for snap in reversed(unit.tape):
+            state = snap.rql.get(head_key)
+            if state is None or not signatures.isdisjoint(state["used"]):
                 continue
-            used = {tuple(sig) for sig in state["used"]}
-            if any(sig in used for sig in signatures):
+            if any(
+                fact not in removed and spec.signature(fact) in signatures
+                for fact in state["seen"]
+            ):
                 continue
-            seen = [tuple(fact) for fact in state["seen"]]
-            sibling = False
-            for fact in seen:
-                if fact not in removed and spec.signature(fact) in signatures:
-                    sibling = True
-                    break
-            if sibling:
-                continue
-            chosen = cp
+            chosen = snap
             break
         if chosen is None:
             return False
         maintain.hooks.fire("incremental.repair")
-        facts2 = {key: list(rows) for key, rows in chosen.facts.items()}
-        facts2[candidate_key] = [
-            fact for fact in facts2.get(candidate_key, []) if tuple(fact) not in removed
-        ]
-        state = chosen.rql[head_key]
-        state2 = dict(state)
-        state2["queue"] = [f for f in state["queue"] if tuple(f) not in removed]
-        state2["seen"] = [f for f in state["seen"] if tuple(f) not in removed]
-        rql2 = dict(chosen.rql)
-        rql2[head_key] = state2
-        cp2 = dataclasses.replace(chosen, facts=facts2, rql=rql2)
-        from repro.robust.checkpoint import restore
-
-        tape2 = StageCheckpointTape()
-        engine2, db2 = restore(
-            cp2,
+        facts = dict(chosen.facts)
+        facts[candidate_key] = chosen.facts.get(candidate_key, set()) - removed
+        state = dict(chosen.rql[head_key])
+        state["queue"] = [fact for fact in state["queue"] if fact not in removed]
+        state["seen"] = state["seen"] - removed
+        purged = dataclasses.replace(
+            chosen, facts=facts, rql={**chosen.rql, head_key: state}
+        )
+        tape = StageCheckpointTape()
+        engine, db = checkpoint.restore(
+            checkpoint.freeze(purged),
             unit.subprogram,
-            governor=RunGovernor(durability=tape2),
+            governor=RunGovernor(durability=tape),
             tracer=self.tracer,
             engine=self.engine,
             order=self.order,
             extrema=self.extrema,
         )
-        engine2.run(db2)
+        engine.run(db)
         # Only the unit's own write relations are grafted back: the
-        # checkpoint snapshot carried stale downstream relations (they
-        # repair after this unit) which db2 still holds.
+        # snapshot carried stale downstream relations (they repair after
+        # this unit) which db still holds.
         for key in unit.predicates:
             relation = self.db.relation(key[0], key[1])
             relation.clear()
-            for fact in db2.relation(key[0], key[1]):
+            for fact in db.relation(key[0], key[1]):
                 relation.add(fact)
-        unit.rng_exit = engine2.rng.getstate()
-        unit.tape = [cp2] + tape2.checkpoints
-        unit.fallbacks = dict(engine2.fallbacks)
-        unit.rql_info = {
-            plan.rule.head.key: (plan.candidate_atom, plan.spec)
-            for plan, _state, _structure in engine2._resumable
-        }
+        unit.rng_exit = engine.rng.getstate()
+        unit.tape = [purged] + tape.snapshots
         if self.tracer.enabled:
             self.tracer.event(
                 "incremental-fast-path",

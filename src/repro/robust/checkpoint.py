@@ -37,7 +37,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.datalog.builtins import order_key
 from repro.errors import CheckpointError
@@ -45,7 +45,10 @@ from repro.storage.database import Database
 
 __all__ = [
     "Checkpoint",
+    "Snapshot",
     "capture",
+    "snapshot",
+    "freeze",
     "save",
     "load",
     "dumps",
@@ -120,8 +123,34 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
 
 
-def capture(engine: Any, db: Database) -> Checkpoint:
-    """Snapshot *engine*'s resumable state over *db*.
+@dataclass
+class Snapshot:
+    """A mid-run copy of one run's resumable state, not yet canonical.
+
+    :func:`snapshot` fills it with plain container copies, cheap enough
+    to take at any governor tick; :func:`freeze` does the ``order_key``
+    sorting and fingerprinting that turn it into a :class:`Checkpoint`.
+    The fields mirror the checkpoint's, except that ``facts`` and
+    ``w_memos`` hold sets, ``memos`` and ``rql`` hold the structures'
+    unsorted :meth:`snapshot_state` forms, and ``program`` stands in for
+    the fingerprint.
+    """
+
+    engine: str
+    clique_index: int
+    rng_state: Optional[Tuple[Any, ...]]
+    facts: Dict[PredicateKey, Set[Fact]]
+    memos: Dict[int, Any]
+    w_memos: Dict[int, Set[Fact]]
+    stage: Optional[int]
+    rql: Dict[PredicateKey, Any]
+    choice_log: List[Tuple[PredicateKey, Fact, int]]
+    metrics: Dict[str, Any]
+    program: Any
+
+
+def snapshot(engine: Any, db: Database) -> Snapshot:
+    """Copy *engine*'s resumable state over *db* without sorting it.
 
     Works for every engine: the core engines contribute rng/memo/queue
     state; the plain engines (naive/seminaive) contribute facts only —
@@ -129,13 +158,13 @@ def capture(engine: Any, db: Database) -> Checkpoint:
     to the identical fixpoint.
     """
     facts = {
-        key: sorted(db.facts(*key), key=order_key)
+        key: set(db.facts(*key))
         for key in sorted(db.predicates())
         if len(db.relation(*key))
     }
     rng = getattr(engine, "rng", None)
     memos: Dict[int, Any] = {}
-    w_memos: Dict[int, Any] = {}
+    w_memos: Dict[int, Set[Fact]] = {}
     stage: Optional[int] = None
     index_of = {
         id(rule): index for index, rule in enumerate(engine.program.proper_rules())
@@ -143,21 +172,21 @@ def capture(engine: Any, db: Database) -> Checkpoint:
     active_memos = getattr(engine, "_active_choice", None)
     if active_memos is not None:
         for rule_id, memo in active_memos.items():
-            memos[index_of[rule_id]] = memo.export_state()
+            memos[index_of[rule_id]] = memo.snapshot_state()
     state = getattr(engine, "_active_stage", None)
     if state is not None:
         stage = state.stage
         for rule_id, memo in state.memos.items():
-            memos[index_of[rule_id]] = memo.export_state()
+            memos[index_of[rule_id]] = memo.snapshot_state()
         for rule_id, w_memo in state.w_memos.items():
-            w_memos[index_of[rule_id]] = sorted(w_memo, key=order_key)
+            w_memos[index_of[rule_id]] = set(w_memo)
     rql = {
-        key: structure.export_state()
+        key: structure.snapshot_state()
         for key, structure in getattr(engine, "rql_structures", {}).items()
     }
     tracer = getattr(engine, "tracer", None)
     registry = getattr(tracer, "registry", None)
-    return Checkpoint(
+    return Snapshot(
         engine=getattr(engine, "engine_name", "rql"),
         clique_index=getattr(engine, "_clique_index", 0),
         rng_state=rng.getstate() if rng is not None else None,
@@ -168,8 +197,40 @@ def capture(engine: Any, db: Database) -> Checkpoint:
         rql=rql,
         choice_log=list(getattr(engine, "choice_log", ())),
         metrics=registry.snapshot() if registry is not None else {},
-        fingerprint=program_fingerprint(engine.program),
+        program=engine.program,
     )
+
+
+def freeze(snap: Snapshot) -> Checkpoint:
+    """The canonical :class:`Checkpoint` of *snap*: facts, memos and
+    (R, Q, L) sets sorted by ``order_key``, the program fingerprinted."""
+    from repro.core.engine_base import ChoiceMemo
+    from repro.core.rql import RQLStructure
+
+    return Checkpoint(
+        engine=snap.engine,
+        clique_index=snap.clique_index,
+        rng_state=snap.rng_state,
+        facts={key: sorted(rows, key=order_key) for key, rows in snap.facts.items()},
+        memos={
+            index: ChoiceMemo.freeze_state(state)
+            for index, state in snap.memos.items()
+        },
+        w_memos={
+            index: sorted(rows, key=order_key) for index, rows in snap.w_memos.items()
+        },
+        stage=snap.stage,
+        rql={key: RQLStructure.freeze_state(state) for key, state in snap.rql.items()},
+        choice_log=list(snap.choice_log),
+        metrics=snap.metrics,
+        fingerprint=program_fingerprint(snap.program),
+    )
+
+
+def capture(engine: Any, db: Database) -> Checkpoint:
+    """Snapshot *engine*'s resumable state over *db* as a canonical
+    :class:`Checkpoint` (``freeze(snapshot(engine, db))``)."""
+    return freeze(snapshot(engine, db))
 
 
 def restore(

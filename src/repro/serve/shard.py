@@ -545,6 +545,19 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
         disk = read_fence_token(config.fence_file)
         return disk if disk > held else 0
 
+    def _stop_if_fenced(where: str) -> None:
+        """Fencing: with a newer token on disk, publish nothing but
+        ``("fenced", ...)`` and stop."""
+        newer = _fenced_now()
+        if newer:
+            service.close(wait=False, timeout=0.5)
+            out.buffer = []  # publish nothing, not even pongs
+            out.send(("fenced", newer, held))
+            out.flush()
+            raise StoreFenced(
+                f"shard {shard_id} fenced {where}", token=newer, held=held
+            )
+
     closing = False
     fence_checked = _now()
     try:
@@ -601,17 +614,7 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
                 # Fencing: always re-checked before publishing a
                 # response, and periodically while idle.
                 fence_checked = _now()
-                newer = _fenced_now()
-                if newer:
-                    service.close(wait=False, timeout=0.5)
-                    out.buffer = []  # publish nothing, not even pongs
-                    out.send(("fenced", newer, held))
-                    out.flush()
-                    raise StoreFenced(
-                        f"shard {shard_id} fenced while serving",
-                        token=newer,
-                        held=held,
-                    )
+                _stop_if_fenced("while serving")
             for rid in done_rids:
                 response = pending[rid].response(0)
                 _visit("shard.ack")
@@ -621,8 +624,10 @@ def _primary_main(shard_id: int, conn: Any, config: ShardConfig) -> None:
             out.flush()
             if closing:
                 # Drain: in-flight requests finish, queued-but-unstarted
-                # ones get the typed shutdown response from close().
+                # ones get the typed shutdown response from close().  The
+                # fence is re-checked before their responses go out.
                 service.close(wait=True)
+                _stop_if_fenced("while closing")
                 for rid, ticket in list(pending.items()):
                     if ticket.done:
                         out.send(

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.incremental import MaterializedView, UpdateBatch, UpdateOp
+from repro.robust import checkpoint
 
 from .conftest import assert_matches_oracle
 
@@ -31,6 +34,22 @@ ITEMS = [(f"i{k}", c) for k, c in enumerate(
     [5, 3, 8, 1, 9, 2, 7, 4, 6, 10, 12, 11, 14, 13, 15, 16, 18, 17, 20, 19,
      22, 21, 24, 23, 26, 25, 28, 27, 30, 29, 32, 31, 34, 33, 36, 35]
 )]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``{name: count}`` of calls to the checkpoint layer's snapshot,
+    freeze and capture functions while the test runs."""
+    counts = {"snapshot": 0, "freeze": 0, "capture": 0}
+    for name in counts:
+        original = getattr(checkpoint, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, name, counted)
+    return counts
 
 
 def _loaded_sorting_view():
@@ -127,3 +146,52 @@ class TestFastPathGuards:
         view = _loaded_sorting_view()
         view.apply(UpdateBatch.of([UpdateOp("-", "p", ("i35", 35))], batch_id="d"))
         assert view.tracer.registry.counter("incremental/fast_path_resumes") == 1
+
+
+class TestTapeCost:
+    """Checkpoint capture stays off the write path: only units whose fast
+    path can fire keep a tape, and a tape entry is frozen only when a
+    resume starts from it."""
+
+    def test_prim_view_keeps_no_tape_and_never_snapshots(self, calls):
+        view = MaterializedView(PRIM, engine="rql", seed=3)
+        rng = random.Random(11)
+        nodes = [f"n{k}" for k in range(12)]
+        edges = {(nodes[k], nodes[k + 1], rng.randint(1, 30)) for k in range(11)}
+        ops = [UpdateOp("+", "g", e) for e in sorted(edges)]
+        ops.append(UpdateOp("+", "source", ("n0",)))
+        view.apply(UpdateBatch.of(ops, batch_id="init"))
+        inserted = []
+        for step in range(10):
+            if len(inserted) >= 3:
+                op = UpdateOp("-", "g", inserted.pop(0))
+            else:
+                edge = (*rng.sample(nodes, 2), rng.randint(1, 30))
+                inserted.append(edge)
+                op = UpdateOp("+", "g", edge)
+            result = view.apply(UpdateBatch.of([op], batch_id=f"w{step}"))
+            assert result.units_recomputed == 1
+            assert_matches_oracle(view, f"at step {step}")
+        assert all(unit.tape == [] for unit in view.units)
+        assert calls["snapshot"] == 0
+        assert calls["capture"] == 0
+        # The counters do see the layer: a SORTING view snapshots.
+        _loaded_sorting_view()
+        assert calls["snapshot"] > 0
+
+    def test_insert_freezes_nothing_and_a_resume_freezes_one(self, calls):
+        view = _loaded_sorting_view()
+        result = view.apply(
+            UpdateBatch.of([UpdateOp("+", "p", ("zz", 100))], batch_id="ins")
+        )
+        assert result.units_recomputed == 1
+        assert calls["freeze"] == 0
+        assert view.units[0].tape
+        for step, item in enumerate([("zz", 100), ("i35", 35), ("i33", 33)]):
+            result = view.apply(
+                UpdateBatch.of([UpdateOp("-", "p", item)], batch_id=f"d{step}")
+            )
+            assert result.fast_path_resumes == 1
+            assert calls["freeze"] == step + 1
+            assert_matches_oracle(view, f"after deleting {item}")
+        assert calls["capture"] == 0

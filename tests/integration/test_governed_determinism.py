@@ -12,15 +12,20 @@ state is exactly the uninterrupted run's state at the same boundary."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.compiler import compile_program
 from repro.errors import BudgetExceeded
 from repro.robust import Budget, RunGovernor, restore
-from repro.robust.checkpoint import dumps, loads
+from repro.robust.checkpoint import capture, dumps, freeze, loads, snapshot
 from tests.integration.test_cross_engine_battery import BATTERY
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 # The battery rows whose γ loops run long enough to interrupt mid-flight.
 PROGRAMS = {
@@ -91,3 +96,67 @@ def test_chained_interruptions_still_converge(engine):
         else:  # pragma: no cover
             raise AssertionError("run never completed across 200 resumes")
     assert db.as_dict() == expected
+
+
+def test_resume_does_not_depend_on_string_hashing():
+    """Kruskal's equal-cost edge orientations tie in the (R, Q, L) queue;
+    the candidate queue must be seeded in a canonical order, or a
+    resumed run (whose database is re-asserted sorted) can pop the tie
+    the other way round.  Hash seed 104 made it do so."""
+    script = (
+        "from tests.integration.test_governed_determinism import "
+        "test_interrupted_plus_resumed_equals_uninterrupted as check\n"
+        "check('kruskal', 'rql', 0)\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="104",
+        PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), ROOT]),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+
+
+class _SnapshotAndCapture:
+    """A governor durability sink taking a snapshot and a capture at
+    every tick."""
+
+    def __init__(self):
+        self.pairs = []
+        self._engine = self._db = None
+
+    def start(self, engine, db):
+        self._engine, self._db = engine, db
+
+    def tick(self):
+        self.pairs.append(
+            (snapshot(self._engine, self._db), capture(self._engine, self._db))
+        )
+
+
+@pytest.mark.parametrize("engine", ["rql", "basic"])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_freeze_of_snapshot_is_capture_at_every_tick(name, engine):
+    """Each snapshot is frozen only after the run has gone on mutating
+    the engine and database, so this also proves a snapshot shares no
+    live container with them."""
+    source, builder = PROGRAMS[name]
+    facts = builder(0)
+    sink = _SnapshotAndCapture()
+    compile_program(source, engine=engine).run(
+        {key: list(v) for key, v in facts.items()},
+        seed=0,
+        governor=RunGovernor(durability=sink),
+    )
+    assert sink.pairs
+    for tick, (snap, captured) in enumerate(sink.pairs):
+        frozen = freeze(snap)
+        assert frozen == captured, f"{name}/{engine} tick {tick}"
+        assert dumps(frozen) == dumps(captured), f"{name}/{engine} tick {tick}"

@@ -31,6 +31,7 @@ from repro.serve import (
     ShardDown,
     ShardedQueryService,
 )
+from repro.serve import shard as shard_module
 from repro.serve.routing import wal_slot
 from repro.serve.shard import shard_worker_main
 from repro.storage.io import dumps_facts
@@ -393,6 +394,37 @@ class TestFencedZombie:
         messages = self._collect_until_exit(parent, thread)
         assert ("fenced", 5, 0) in messages
         assert all(m[0] != "response" for m in messages)
+
+    def test_fence_written_before_close_blocks_the_drained_responses(
+        self, tmp_path, monkeypatch
+    ):
+        """A request still running when ``("close",)`` arrives finishes
+        during the drain, and its response is a publish like any other:
+        a fence written meanwhile must block it too."""
+        # A frozen clock never brings the idle-time fence re-check due,
+        # so the only checks left are the ones before a publish.
+        monkeypatch.setattr(shard_module, "_now", lambda: 0.0)
+        parent, thread = self._start(tmp_path, self._config(tmp_path))
+        _wait_for(
+            lambda: any(m[0] == "ready" for m in self._drain(parent)),
+            message="worker ready",
+        )
+        heavy = {"p": [(f"h{i}", (7919 * i) % 4001) for i in range(4000)]}
+        parent.send(("submit", 1, QueryRequest(SORTING, heavy).to_payload()))
+        parent.send(("ping", 1))
+        _wait_for(
+            lambda: any(
+                m[0] == "pong" and m[3] == 1 for m in self._drain(parent)
+            ),
+            message="request in flight",
+        )
+        write_fence_token(fence_path(str(tmp_path), 0), 5)
+        parent.send(("close",))
+        messages = self._collect_until_exit(parent, thread)
+        assert ("fenced", 5, 0) in messages
+        kinds = [m[0] for m in messages]
+        assert "response" not in kinds
+        assert "bye" not in kinds
 
 
 class TestAntiEntropy:
