@@ -1,40 +1,66 @@
-"""Shared clique-level evaluation helpers for the core engines.
+"""Shared clique-level evaluation: the one seminaive kernel.
 
-Three operations cover everything the engines need:
+Every engine except the naive oracle evaluates through these functions:
 
 * :func:`evaluate_rule_once` — evaluate one rule (extrema-aware) against
   the database, returning the facts that were new;
-* :func:`saturate` — seminaive fixpoint of a set of meta-goal-free rules
-  (negation allowed when the caller vouches for local stratification, as
-  the alternating stage fixpoint does);
+* :func:`saturate` — the differential delta loop: the seminaive fixpoint
+  of a set of meta-goal-free rules (negation allowed when the caller
+  vouches for local stratification, as the alternating stage fixpoint
+  does), optionally under a :class:`~repro.core.extrema_lattice.BestTable`
+  insert filter — premappable extrema are ``γ(lfp T) = lfp(γ ∘ T)``, so
+  pushing the extremum into the fixpoint needs a filter, not a loop;
+* :func:`evaluate_plain_clique` — one plain clique: a single pass when it
+  is not recursive, otherwise :func:`saturate`, with premappable extrema
+  applied under the plan cache's ``extrema`` policy;
 * :func:`extrema_filter` — the group-by min/max selection shared by every
   construct that evaluates ``least``/``most`` over a candidate set.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.extrema_lattice import BestTable, PremapSpec, dominated_facts
-from repro.datalog.atoms import Atom, ChoiceGoal, LeastGoal, MostGoal, NextGoal
+from repro.core.extrema_lattice import BestTable, dominated_facts
+from repro.core.rewriting import premappable_extrema
+from repro.core.stage_analysis import clique_label, rule_label
+from repro.datalog.atoms import (
+    Atom,
+    ChoiceGoal,
+    LeastGoal,
+    MostGoal,
+    Negation,
+    NextGoal,
+)
 from repro.datalog.builtins import eval_expr, order_key
-from repro.datalog.plans import PlanCache, compile_plan, run_plan
+from repro.datalog.dependency import Clique
+from repro.datalog.plans import CompiledPlan, PlanCache, compile_plan, run_plan
+from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.unify import Subst, ground_term
+from repro.errors import StratificationError
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 
 __all__ = [
+    "EXTREMA_DROP",
     "evaluate_rule_once",
     "saturate",
-    "saturate_with_extrema",
+    "evaluate_plain_clique",
+    "compile_clique",
+    "delta_variants",
     "extrema_filter",
     "body_solutions",
 ]
 
 Fact = Tuple[Any, ...]
 PredicateKey = Tuple[str, int]
+
+#: Goal classes dropped from every plan the kernel runs: the extremum is
+#: applied by :func:`extrema_filter` on a single pass, or by the
+#: ``BestTable`` filter inside the fixpoint.
+EXTREMA_DROP = (LeastGoal, MostGoal)
 
 # Module-level fault-injection slot, patched by repro.robust.faults.inject
 # for chaos runs; None (one is-None check per saturation round) otherwise.
@@ -88,16 +114,7 @@ def body_solutions(
             repeated evaluations of one rule reuse its compiled plan).
     """
     initial = initial or {}
-    bound = frozenset(initial)
-    if cache is not None:
-        plan = cache.plan(rule, bound=bound, drop=drop, db=db)
-    else:
-        literals = [
-            (literal, index)
-            for index, literal in enumerate(rule.body)
-            if not isinstance(literal, drop)
-        ]
-        plan = compile_plan(literals, initially_bound=bound, db=db)
+    plan = _plan(rule, db, cache, drop, bound=frozenset(initial))
     return list(run_plan(plan, db, dict(initial)))
 
 
@@ -107,31 +124,28 @@ def evaluate_rule_once(
     initial: Subst | None = None,
     cache: PlanCache | None = None,
     tracer: Tracer | None = None,
+    best: BestTable | None = None,
 ) -> List[Fact]:
     """Evaluate *rule* once (with extrema applied) and insert the results.
 
     Choice and next goals must have been handled by the caller; extrema
-    goals are applied as a group-by filter over the body solutions.
+    goals are applied as a group-by filter over the body solutions — or,
+    with *best*, by that table's insert filter (see :func:`saturate`).
 
     With an enabled *tracer*, the evaluation is recorded as a
     ``rule-firing`` span (unphased: a no-op while tracing is off).
 
     Returns the facts that were actually new.
     """
-    span = tracer.span("rule-firing", head=str(rule.head)) if tracer else NULL_SPAN
+    traced = tracer is not None and tracer.enabled
+    span = tracer.span("rule-firing", head=str(rule.head)) if traced else NULL_SPAN
     with span:
-        solutions = body_solutions(
-            rule, db, initial, drop=(LeastGoal, MostGoal), cache=cache
-        )
-        extrema = rule.extrema_goals
-        if extrema:
-            solutions = extrema_filter(solutions, extrema)
-        relation = db.relation(rule.head.pred, rule.head.arity)
-        new_facts: List[Fact] = []
-        for subst in solutions:
-            fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
-            if relation.add(fact):
-                new_facts.append(fact)
+        solutions = body_solutions(rule, db, initial, drop=EXTREMA_DROP, cache=cache)
+        if best is None:
+            extrema = rule.extrema_goals
+            if extrema:
+                solutions = extrema_filter(solutions, extrema)
+        new_facts = _derive(rule, solutions, db, best)
         span.note(solutions=len(solutions), new_facts=len(new_facts))
     return new_facts
 
@@ -144,13 +158,17 @@ def saturate(
     cache: PlanCache | None = None,
     tracer: Tracer | None = None,
     governor: Any = None,
+    best: BestTable | None = None,
+    stats: Any = None,
 ) -> Dict[PredicateKey, List[Fact]]:
-    """Seminaive fixpoint of *rules* over *db*.
+    """Seminaive fixpoint of *rules* over *db* — the one differential
+    delta loop every non-naive engine runs.
 
-    Rules must be free of choice/next/extrema goals (plain negation and
-    negated conjunctions are allowed — the stage engines call this inside
-    a locally stratified alternation, where reading the current database
-    is sound).
+    Rules must be free of choice/next goals (plain negation and negated
+    conjunctions are allowed — the stage engines call this inside a
+    locally stratified alternation, where reading the current database
+    is sound).  Extrema goals are dropped from every plan: a rule's own
+    are applied on its seeding pass unless *best* applies them.
 
     Args:
         rules: the flat rules of the clique.
@@ -163,23 +181,30 @@ def saturate(
         cache: plan cache shared across calls, so the differential rounds
             reuse each rule's compiled delta-first plans.
         tracer: records each differential round as a ``saturation-round``
-            span (phase ``saturate``) and, when enabled, each delta-rule
+            span (phase ``saturate``) and, when enabled, each rule
             evaluation as a nested ``rule-firing`` span.
         governor: optional :class:`~repro.robust.governor.RunGovernor`
             ticked once per differential round (a consistent boundary: a
             raise here loses no committed facts, and re-entry re-derives
             the remainder — saturation is deterministic and confluent).
+        best: the pushdown insert filter of a premappable clique, already
+            agreeing with *db* on every covered predicate.  A dominated
+            new fact is dropped before it reaches the database; the facts
+            a better one displaces leave the relation at once and drive
+            no further round.  This is the premappable optimisation —
+            and on cost lattices with infinitely ascending chains (e.g.
+            summed costs over a cyclic graph) it is also what makes the
+            fixpoint finite.
+        stats: optional :class:`~repro.datalog.naive.EngineStats`; every
+            round (the seeding pass included) adds to ``iterations`` and
+            its rule evaluations to ``rule_firings``.
 
     Returns:
-        Every new fact derived, keyed by predicate.
+        Every new fact derived, keyed by predicate (under *best*, facts
+        displaced later in the run included).
     """
     predicates = set(clique_predicates)
     produced: Dict[PredicateKey, List[Fact]] = {}
-
-    def record(key: PredicateKey, facts: List[Fact]) -> None:
-        if facts:
-            produced.setdefault(key, []).extend(facts)
-
     deltas: Dict[PredicateKey, List[Fact]] = {}
     if seed_deltas is None:
         seed_span = (
@@ -189,16 +214,26 @@ def saturate(
         )
         with seed_span:
             for rule in rules:
-                new_facts = evaluate_rule_once(rule, db, cache=cache, tracer=tracer)
-                record(rule.head.key, new_facts)
-                if rule.head.key in predicates:
-                    deltas.setdefault(rule.head.key, []).extend(new_facts)
+                new_facts = evaluate_rule_once(
+                    rule, db, cache=cache, tracer=tracer, best=best
+                )
+                if new_facts:
+                    key = rule.head.key
+                    produced.setdefault(key, []).extend(new_facts)
+                    if key in predicates:
+                        deltas.setdefault(key, []).extend(new_facts)
+        if stats is not None:
+            stats.iterations += 1
+            stats.rule_firings += len(rules)
+        if best is not None:
+            deltas = _live(deltas, db)
     else:
         for key, facts in seed_deltas.items():
             if facts:
                 deltas.setdefault(key, []).extend(facts)
 
-    variants = _delta_variants(rules, predicates)
+    traced = tracer is not None and tracer.enabled
+    variants = delta_variants(rules, predicates)
     while deltas:
         if governor is not None:
             governor.tick_round()
@@ -226,186 +261,155 @@ def saturate(
                 fired += 1
                 firing = (
                     tracer.span("rule-firing", head=str(rule.head), delta=key[0])
-                    if tracer
+                    if traced
                     else NULL_SPAN
                 )
                 with firing:
-                    solutions = _delta_solutions(rule, db, index, delta_rel, cache)
-                    relation = db.relation(rule.head.pred, rule.head.arity)
-                    fresh: List[Fact] = []
-                    for subst in solutions:
-                        fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
-                        if relation.add(fact):
-                            fresh.append(fact)
+                    plan = _plan(rule, db, cache, EXTREMA_DROP, delta_index=index)
+                    solutions = list(run_plan(plan, db, {}, delta_rel))
+                    fresh = _derive(rule, solutions, db, best)
                     firing.note(solutions=len(solutions), new_facts=len(fresh))
-                record(rule.head.key, fresh)
-                if rule.head.key in predicates and fresh:
-                    next_deltas.setdefault(rule.head.key, []).extend(fresh)
+                if fresh:
+                    head_key = rule.head.key
+                    produced.setdefault(head_key, []).extend(fresh)
+                    if head_key in predicates:
+                        next_deltas.setdefault(head_key, []).extend(fresh)
             round_span.note(rule_firings=fired)
-        deltas = next_deltas
+        if stats is not None:
+            stats.iterations += 1
+            stats.rule_firings += fired
+        deltas = next_deltas if best is None else _live(next_deltas, db)
     return produced
 
 
-def saturate_with_extrema(
-    rules: Sequence[Rule],
-    clique_predicates: Iterable[PredicateKey],
-    specs: Dict[PredicateKey, "PremapSpec"],
+def evaluate_plain_clique(
+    clique: Clique,
     db: Database,
-    policy: str = "pushdown",
-    cache: PlanCache | None = None,
+    cache: PlanCache,
     tracer: Tracer | None = None,
     governor: Any = None,
-) -> Tuple[Dict[PredicateKey, List[Fact]], int]:
-    """Seminaive fixpoint of a premappable extrema clique.
+    stats: Any = None,
+    program: Program | None = None,
+) -> Tuple[int, Optional[int]]:
+    """Evaluate one plain (choice- and next-free) clique over *db*.
 
-    The clique must have passed
-    :func:`repro.core.rewriting.premappable_extrema`, whose *specs* map
-    names each predicate's cost position, group positions, and direction.
-    Extrema goals are dropped from every plan; the policy decides when the
-    extremum is applied:
+    A non-recursive clique is a single pass of :func:`evaluate_rule_once`
+    per rule (extrema applied per firing).  A recursive clique runs
+    :func:`saturate`; its extrema must be premappable
+    (:func:`repro.core.rewriting.premappable_extrema`) and are applied
+    under ``cache.extrema``:
 
-    * ``"pushdown"`` — a :class:`~repro.core.extrema_lattice.BestTable` is
-      consulted on every insert: dominated new facts are dropped before
-      they reach the database, and facts a better insert displaces are
-      retracted from the relation and the pending deltas.  This is the
-      premappable optimisation — and on cost lattices with infinitely
-      ascending chains (e.g. summed costs over a cyclic graph) it is also
-      what makes the fixpoint finite.
+    * ``"pushdown"`` — through a :class:`~repro.core.extrema_lattice.BestTable`
+      insert filter, seeded from the facts already present (embedded
+      ground facts, checkpoint-resumed state), dominated ones retracted;
     * ``"post"`` — the legacy shape: saturate with extrema dropped, then
       retract every fact that is not its group's best.  Model-for-model
       identical on premappable cliques (that is the premappability
       theorem), kept as the differential baseline.
 
-    Both policies keep ties, matching :func:`extrema_filter`.
+    Both policies keep ties, matching :func:`extrema_filter`.  A traced
+    extrema clique emits one ``extrema-pushdown`` event.  Negation or
+    non-premappable extrema through the recursion raise
+    :class:`~repro.errors.StratificationError` (that is what stage
+    cliques are for); *program* numbers the offending rule.
 
-    Returns ``(produced, pruned)``: every fact derived (keyed by
-    predicate, counting facts later retracted) and the number of facts
-    pruned — dominated inserts dropped plus dominated facts retracted.
+    Args:
+        stats: passed to :func:`saturate`; a non-recursive clique counts
+            one iteration and one firing per rule on it.
+
+    Returns:
+        ``(derived, pruned)``: the facts derived (under pushdown, facts
+        displaced later included) and the facts the extremum removed —
+        ``None`` when the clique has no recursive extrema, so engines
+        publish ``facts_pruned_extrema`` only for runs that have some.
     """
-    predicates = set(clique_predicates)
-    produced: Dict[PredicateKey, List[Fact]] = {}
-    pruned = 0
-    drop = (LeastGoal, MostGoal)
-    push = policy == "pushdown"
-    best = BestTable(specs) if push else None
-
-    deltas: Dict[PredicateKey, Set[Fact]] = {}
-
-    def insert(key: PredicateKey, fact: Fact, relation: Relation) -> bool:
-        nonlocal pruned
-        if best is not None:
-            accepted, displaced = best.observe(key, fact)
-            if not accepted:
-                pruned += 1
-                return False
-            for old in displaced:
-                if relation.discard(old):
-                    pruned += 1
-                pending = deltas.get(key)
-                if pending is not None:
-                    pending.discard(old)
-        if relation.add(fact):
-            produced.setdefault(key, []).append(fact)
-            deltas.setdefault(key, set()).add(fact)
-            return True
-        return False
-
+    rules = clique.rules
+    if not clique.is_recursive:
+        if stats is not None:
+            stats.iterations += 1
+            stats.rule_firings += len(rules)
+        derived = 0
+        for rule in rules:
+            derived += len(evaluate_rule_once(rule, db, cache=cache, tracer=tracer))
+        return derived, None
+    specs = None
+    if any(rule.extrema_goals for rule in rules):
+        specs = premappable_extrema(rules, clique.predicates)
+        if specs is None:
+            offender = next(r for r in rules if r.extrema_goals)
+            raise StratificationError(
+                f"extrema through recursion outside a stage clique in "
+                f"{clique_label(clique)} is not premappable: "
+                f"{rule_label(program, offender)}"
+            )
+    else:
+        for rule in rules:
+            for literal in rule.body:
+                if isinstance(literal, Negation) and literal.atom.key in clique.predicates:
+                    raise StratificationError(
+                        f"negation through recursion outside a stage clique in "
+                        f"{clique_label(clique)}: {rule_label(program, rule)}"
+                    )
+    policy = cache.extrema
+    best = BestTable(specs) if specs is not None and policy == "pushdown" else None
     if best is not None:
-        # Facts already present (embedded ground facts, checkpoint-resumed
-        # state) seed the best table; dominated ones are retracted so the
-        # table and the database agree before the first round.
-        for key in predicates:
+        for key in specs:
             relation = db.relation(key[0], key[1])
             for fact in list(relation):
                 accepted, displaced = best.observe(key, fact)
                 if not accepted:
                     relation.discard(fact)
-                    pruned += 1
                 for old in displaced:
-                    if relation.discard(old):
-                        pruned += 1
-
-    seed_span = (
-        tracer.span("saturation-round", phase="saturate", seed=True)
-        if tracer
-        else NULL_SPAN
+                    relation.discard(old)
+    produced = saturate(
+        rules,
+        clique.predicates,
+        db,
+        cache=cache,
+        tracer=tracer,
+        governor=governor,
+        best=best,
+        stats=stats,
     )
-    with seed_span:
-        for rule in rules:
-            solutions = body_solutions(rule, db, drop=drop, cache=cache)
-            relation = db.relation(rule.head.pred, rule.head.arity)
-            for subst in solutions:
-                fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
-                insert(rule.head.key, fact, relation)
-        seed_span.note(delta_facts=sum(len(f) for f in deltas.values()))
-
-    variants = _delta_variants(rules, predicates)
-    while any(deltas.values()):
-        if governor is not None:
-            governor.tick_round()
-        if _FAULT_HOOK is not None:
-            _FAULT_HOOK("engine.saturate")
-        current, deltas = deltas, {}
-        delta_relations = {
-            key: _as_relation(key, facts) for key, facts in current.items() if facts
-        }
-        round_span = (
-            tracer.span(
-                "saturation-round",
-                phase="saturate",
-                delta_facts=sum(len(r) for r in delta_relations.values()),
-            )
-            if tracer
-            else NULL_SPAN
-        )
-        with round_span:
-            fired = 0
-            for rule, index, key in variants:
-                delta_rel = delta_relations.get(key)
-                if delta_rel is None:
-                    continue
-                fired += 1
-                if cache is not None:
-                    plan = cache.plan(rule, delta_index=index, drop=drop, db=db)
-                else:
-                    literals = [
-                        (literal, i)
-                        for i, literal in enumerate(rule.body)
-                        if not isinstance(literal, drop)
-                    ]
-                    plan = compile_plan(literals, delta_index=index, db=db)
-                relation = db.relation(rule.head.pred, rule.head.arity)
-                firing = (
-                    tracer.span("rule-firing", head=str(rule.head), delta=key[0])
-                    if tracer
-                    else NULL_SPAN
-                )
-                with firing:
-                    solutions = list(run_plan(plan, db, {}, delta_rel))
-                    fresh = 0
-                    for subst in solutions:
-                        fact = tuple(
-                            ground_term(arg, subst) for arg in rule.head.args
-                        )
-                        if insert(rule.head.key, fact, relation):
-                            fresh += 1
-                    firing.note(solutions=len(solutions), new_facts=fresh)
-            round_span.note(rule_firings=fired)
-
-    if not push:
-        # Legacy post-filter: retract everything that is not its group's
-        # best (ties kept), per predicate.
+    derived = sum(len(facts) for facts in produced.values())
+    if specs is None:
+        return derived, None
+    if best is not None:
+        pruned = best.pruned
+    else:
+        pruned = 0
         for key, spec in specs.items():
             relation = db.relation(key[0], key[1])
             for fact in dominated_facts(relation, spec):
                 relation.discard(fact)
                 pruned += 1
-    return produced, pruned
+    if tracer is not None and tracer.enabled:
+        tracer.event(
+            "extrema-pushdown",
+            clique=clique_label(clique),
+            policy=policy,
+            predicates=sorted(f"{n}/{a}" for n, a in specs),
+            pruned=pruned,
+        )
+    return derived, pruned
 
 
-def _delta_variants(
+def compile_clique(clique: Clique, cache: PlanCache, db: Database) -> None:
+    """Compile into *cache* every plan :func:`evaluate_plain_clique` asks
+    for on *clique*: each rule's full plan and one delta-first plan per
+    occurrence of a clique predicate in a body.  Engines that register
+    their plans' indices before evaluating call this up front."""
+    for rule in clique.rules:
+        cache.plan(rule, drop=EXTREMA_DROP, db=db)
+    for rule, index, _ in delta_variants(clique.rules, clique.predicates):
+        cache.plan(rule, delta_index=index, drop=EXTREMA_DROP, db=db)
+
+
+def delta_variants(
     rules: Sequence[Rule], predicates: Set[PredicateKey]
 ) -> List[Tuple[Rule, int, PredicateKey]]:
+    """One ``(rule, body index, predicate)`` triple per occurrence of a
+    *predicates* atom in a rule body — the delta-driven firings."""
     variants: List[Tuple[Rule, int, PredicateKey]] = []
     for rule in rules:
         for index, literal in enumerate(rule.body):
@@ -414,19 +418,66 @@ def _delta_variants(
     return variants
 
 
-def _delta_solutions(
+def _plan(
     rule: Rule,
     db: Database,
-    delta_index: int,
-    delta_relation: Relation,
-    cache: PlanCache | None = None,
-) -> List[Subst]:
+    cache: PlanCache | None,
+    drop: Tuple[type, ...],
+    bound: frozenset = frozenset(),
+    delta_index: int | None = None,
+) -> CompiledPlan:
     if cache is not None:
-        plan = cache.plan(rule, delta_index=delta_index, db=db)
-    else:
-        literals = [(literal, index) for index, literal in enumerate(rule.body)]
-        plan = compile_plan(literals, delta_index=delta_index, db=db)
-    return list(run_plan(plan, db, {}, delta_relation))
+        return cache.plan(rule, delta_index=delta_index, bound=bound, drop=drop, db=db)
+    literals = [
+        (literal, index)
+        for index, literal in enumerate(rule.body)
+        if not isinstance(literal, drop)
+    ]
+    return compile_plan(literals, initially_bound=bound, delta_index=delta_index, db=db)
+
+
+def _derive(
+    rule: Rule, solutions: List[Subst], db: Database, best: BestTable | None
+) -> List[Fact]:
+    """Ground *rule*'s head over *solutions* and add the facts to *db*,
+    through *best* when given; returns the facts that were new."""
+    head = rule.head
+    args = head.args
+    relation = db.relation(head.pred, head.arity)
+    new_facts: List[Fact] = []
+    if best is None:
+        for subst in solutions:
+            fact = tuple(ground_term(arg, subst) for arg in args)
+            if relation.add(fact):
+                new_facts.append(fact)
+        return new_facts
+    key = (head.pred, head.arity)
+    observe = best.observe
+    for subst in solutions:
+        fact = tuple(ground_term(arg, subst) for arg in args)
+        accepted, displaced = observe(key, fact)
+        if not accepted:
+            continue
+        for old in displaced:
+            relation.discard(old)
+        if relation.add(fact):
+            new_facts.append(fact)
+    return new_facts
+
+
+def _live(
+    deltas: Dict[PredicateKey, List[Fact]], db: Database
+) -> Dict[PredicateKey, List[Fact]]:
+    """*deltas* without the facts a better insert has displaced from the
+    database since they were derived: a displaced fact must not drive a
+    round (it would extend a dominated chain)."""
+    live: Dict[PredicateKey, List[Fact]] = {}
+    for key, facts in deltas.items():
+        relation = db.relation(key[0], key[1])
+        kept = [fact for fact in facts if fact in relation]
+        if kept:
+            live[key] = kept
+    return live
 
 
 def _as_relation(key: PredicateKey, facts: List[Fact]) -> Relation:

@@ -25,12 +25,11 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clique_eval import (
     body_solutions,
+    evaluate_plain_clique,
     evaluate_rule_once,
     extrema_filter,
     saturate,
-    saturate_with_extrema,
 )
-from repro.core.rewriting import premappable_extrema
 from repro.core.stage_analysis import (
     CliqueReport,
     StageAnalysis,
@@ -38,7 +37,7 @@ from repro.core.stage_analysis import (
     clique_label,
     rule_label,
 )
-from repro.datalog.atoms import Atom, ChoiceGoal, Negation
+from repro.datalog.atoms import Atom, ChoiceGoal
 from repro.datalog.builtins import order_key
 from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache
 from repro.datalog.program import Program
@@ -404,63 +403,20 @@ class BaseEngine:
     # -- plain cliques ----------------------------------------------------------------
 
     def _run_plain_clique(self, report: CliqueReport, db: Database) -> None:
-        clique = report.clique
-        if not clique.is_recursive:
-            for rule in clique.rules:
-                self.stats.saturation_facts += len(
-                    evaluate_rule_once(rule, db, cache=self.plans, tracer=self.tracer)
-                )
-            return
-        # Recursive plain clique: premappable extrema are pushed into (or
-        # applied after) the fixpoint; non-premappable extrema and negation
-        # through recursion are not allowed here (that is exactly what
-        # stage cliques are for).
-        if any(rule.extrema_goals for rule in clique.rules):
-            specs = premappable_extrema(clique.rules, clique.predicates)
-            if specs is None:
-                offender = next(r for r in clique.rules if r.extrema_goals)
-                raise StratificationError(
-                    f"extrema through recursion outside a stage clique in "
-                    f"{clique_label(clique)}: {rule_label(self.program, offender)}"
-                )
-            policy = self.plans.extrema
-            produced, pruned = saturate_with_extrema(
-                clique.rules,
-                clique.predicates,
-                specs,
-                db,
-                policy=policy,
-                cache=self.plans,
-                tracer=self.tracer,
-                governor=self.governor,
-            )
-            self.stats.saturation_facts += sum(len(v) for v in produced.values())
-            self.stats.facts_pruned_extrema += pruned
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "extrema-pushdown",
-                    clique=clique_label(clique),
-                    policy=policy,
-                    predicates=sorted(f"{n}/{a}" for n, a in specs),
-                    pruned=pruned,
-                )
-            return
-        for rule in clique.rules:
-            for literal in rule.body:
-                if isinstance(literal, Negation) and literal.atom.key in clique.predicates:
-                    raise StratificationError(
-                        f"negation through recursion outside a stage clique in "
-                        f"{clique_label(clique)}: {rule_label(self.program, rule)}"
-                    )
-        produced = saturate(
-            clique.rules,
-            clique.predicates,
+        derived, pruned = evaluate_plain_clique(
+            report.clique,
             db,
-            cache=self.plans,
+            self.plans,
             tracer=self.tracer,
             governor=self.governor,
+            program=self.program,
         )
-        self.stats.saturation_facts += sum(len(v) for v in produced.values())
+        # Extensional cliques publish no counter: registry snapshots ride
+        # in checkpoints and responses.
+        if report.clique.rules:
+            self.stats.saturation_facts += derived
+        if pruned is not None:
+            self.stats.facts_pruned_extrema += pruned
 
     # -- choice cliques (γ / Q∞) ---------------------------------------------------------
 

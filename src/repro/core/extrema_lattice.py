@@ -72,10 +72,14 @@ class BestTable:
     insert discipline: a dominated new fact is rejected, a dominating new
     fact displaces the group's previous holders (which the caller retracts
     from the database and any pending deltas).
+
+    ``pruned`` counts the facts :meth:`observe` has ruled out: rejected
+    observations plus displaced holders.
     """
 
     def __init__(self, specs: Dict[PredicateKey, PremapSpec]):
         self.specs = specs
+        self.pruned = 0
         # predicate -> group -> [best order-key, set of facts at that key]
         self._groups: Dict[PredicateKey, Dict[Tuple[Any, ...], List[Any]]] = {
             key: {} for key in specs
@@ -103,7 +107,9 @@ class BestTable:
         if spec.better(cost, best):
             displaced = list(holders)
             groups[group] = [cost, {fact}]
+            self.pruned += len(displaced)
             return True, displaced
+        self.pruned += 1
         return False, []
 
     def best_cost(self, predicate: PredicateKey, group: Tuple[Any, ...]) -> Any:

@@ -67,14 +67,16 @@ def clique_label(clique: Clique) -> str:
     return f"clique [{preds}]"
 
 
-def rule_label(program: Program, rule: Rule) -> str:
+def rule_label(program: Program | None, rule: Rule) -> str:
     """A uniform human-readable name for a rule: ``rule #3 (p(X) <- ...)``.
 
     The number is the 1-based position among the program's proper rules,
-    matching the order rules appear in the source text."""
-    for index, candidate in enumerate(program.proper_rules(), start=1):
-        if candidate is rule:
-            return f"rule #{index} ({rule})"
+    matching the order rules appear in the source text (unnumbered
+    without a *program*)."""
+    if program is not None:
+        for index, candidate in enumerate(program.proper_rules(), start=1):
+            if candidate is rule:
+                return f"rule #{index} ({rule})"
     return f"rule ({rule})"
 
 

@@ -19,7 +19,6 @@ from repro.datalog.atoms import LeastGoal, MostGoal
 from repro.datalog.dependency import Clique, DependencyGraph
 from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache, run_plan
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule
 from repro.datalog.unify import ground_term
 from repro.errors import (
     BudgetExceeded,
@@ -83,9 +82,6 @@ class NaiveEngine:
     Args:
         program: the program to evaluate.
         check_safety: verify rule safety up front (default).
-        cache_plans: compile each rule body once and reuse the plan
-            (default).  ``False`` re-plans on every firing — the
-            per-call-planning baseline for the plan-cache benchmark.
         order: join-order policy (``"greedy"`` default, ``"written"``
             legacy) — see :mod:`repro.datalog.plans`.
     """
@@ -96,7 +92,6 @@ class NaiveEngine:
         self,
         program: Program,
         check_safety: bool = True,
-        cache_plans: bool = True,
         tracer: Tracer | None = None,
         governor: Any = None,
         order: str = DEFAULT_ORDER,
@@ -114,11 +109,7 @@ class NaiveEngine:
         self.tracer = tracer if tracer is not None else Tracer()
         self.stats = EngineStats(registry=self.tracer.registry)
         self.plans = PlanCache(
-            stats=self.stats,
-            enabled=cache_plans,
-            order=order,
-            extrema=extrema,
-            tracer=self.tracer,
+            stats=self.stats, order=order, extrema=extrema, tracer=self.tracer
         )
         self.governor = governor if governor is not None else NULL_GOVERNOR
 
@@ -202,33 +193,28 @@ class NaiveEngine:
         """Evaluate a clique whose rules carry ``least``/``most`` goals.
 
         A non-recursive clique applies the extremum per firing (the
-        classic post-hoc group-by filter).  A recursive clique must be
-        premappable (:func:`repro.core.rewriting.premappable_extrema`);
-        the engine's ``extrema`` policy then decides whether dominated
-        facts are pruned on insert (``"pushdown"``) or retracted after
-        saturation (``"post"``).  The loop stays fully naive — every rule
+        classic post-hoc group-by filter, as every engine does through
+        :func:`~repro.core.clique_eval.evaluate_rule_once`).  A recursive
+        clique must be premappable
+        (:func:`repro.core.rewriting.premappable_extrema`); the engine's
+        ``extrema`` policy then decides whether dominated facts are pruned
+        on insert (``"pushdown"``) or retracted after saturation
+        (``"post"``).  The loop stays fully naive — every rule
         re-fires in full each round — so this path remains an independent
         oracle for the differential engines.
         """
-        from repro.core.clique_eval import extrema_filter
+        from repro.core.clique_eval import evaluate_rule_once
         from repro.core.extrema_lattice import BestTable, dominated_facts
         from repro.core.rewriting import premappable_extrema
+        from repro.core.stage_analysis import clique_label
 
         if not clique.is_recursive:
             self.stats.iterations += 1
             self.stats.rule_firings += len(clique.rules)
             for rule in clique.rules:
-                plan = self.plans.plan(rule, drop=_EXTREMA_DROP, db=db)
-                solutions = list(run_plan(plan, db))
-                if rule.extrema_goals:
-                    solutions = extrema_filter(solutions, rule.extrema_goals)
-                relation = db.relation(rule.head.pred, rule.head.arity)
-                new = 0
-                for subst in solutions:
-                    fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
-                    if relation.add(fact):
-                        new += 1
-                self.stats.facts_derived += new
+                self.stats.facts_derived += len(
+                    evaluate_rule_once(rule, db, cache=self.plans, tracer=self.tracer)
+                )
             return
 
         specs = premappable_extrema(clique.rules, clique.predicates)
@@ -288,7 +274,7 @@ class NaiveEngine:
         if self.tracer.enabled:
             self.tracer.event(
                 "extrema-pushdown",
-                clique=sorted(f"{n}/{a}" for n, a in clique.predicates),
+                clique=clique_label(clique),
                 policy=policy,
                 predicates=sorted(f"{n}/{a}" for n, a in specs),
                 pruned=pruned,

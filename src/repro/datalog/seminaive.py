@@ -2,22 +2,26 @@
 
 The paper's complexity results (Section 6) presuppose "seminaive
 refinements": a recursive rule must only re-fire on the *new* facts of the
-previous iteration, not re-derive everything.  This engine implements the
-classical differential scheme:
+previous iteration, not re-derive everything.  This engine walks the
+cliques (SCCs) in dependency order, stratum by stratum, and hands each one
+to the shared seminaive kernel,
+:func:`repro.core.clique_eval.evaluate_plain_clique`:
 
-* cliques (SCCs) are evaluated in dependency order, stratum by stratum;
 * a non-recursive clique is evaluated in a single pass;
 * a recursive clique keeps, for every predicate ``p`` in it, a delta
   relation ``Δp``; each recursive rule is instantiated once per occurrence
-  of a clique predicate in its body, with that occurrence reading ``Δp``.
+  of a clique predicate in its body, with that occurrence reading ``Δp``;
+* premappable ``least``/``most`` recursion runs the same loop with the
+  extremum applied under the engine's ``extrema`` policy.
 
-Every rule is compiled exactly once per engine run through a
-:class:`~repro.datalog.plans.PlanCache`: one generic plan for the seeding
-round plus one *delta-specialized* plan per clique-predicate occurrence.
-The delta-specialized plan places the delta literal first and orders the
-remaining goals against its bindings, so each differential round starts
-from the new facts instead of potentially scanning a full relation that
-the generic bound-first heuristic happened to order earlier.
+Every plan the kernel will run is compiled once, before evaluation,
+through a :class:`~repro.datalog.plans.PlanCache`: one generic plan per
+rule for the seeding round plus one *delta-specialized* plan per
+clique-predicate occurrence.  The delta-specialized plan places the delta
+literal first and orders the remaining goals against its bindings, so
+each differential round starts from the new facts instead of potentially
+scanning a full relation that the generic bound-first heuristic happened
+to order earlier.
 
 Negation and negated conjunctions may only refer to lower strata (checked
 by :class:`~repro.datalog.dependency.DependencyGraph`), so they read the
@@ -27,33 +31,18 @@ stable database.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any
 
-from repro.datalog.atoms import Atom, LeastGoal, MostGoal
-from repro.datalog.dependency import Clique, DependencyGraph
+from repro.datalog.dependency import DependencyGraph
 from repro.datalog.naive import EngineStats
-from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache, run_plan
+from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule
-from repro.datalog.unify import ground_term
-from repro.errors import (
-    BudgetExceeded,
-    Cancelled,
-    EvaluationError,
-    StratificationError,
-)
-from repro.obs.tracer import NULL_SPAN, Tracer
+from repro.errors import BudgetExceeded, Cancelled, EvaluationError
+from repro.obs.tracer import Tracer
 from repro.robust.governor import NULL_GOVERNOR
 from repro.storage.database import Database
-from repro.storage.relation import Relation
 
 __all__ = ["SeminaiveEngine"]
-
-PredicateKey = Tuple[str, int]
-
-#: Goal classes dropped from plans of extrema rules (the engine applies
-#: the extremum itself, per its ``extrema`` policy).
-_EXTREMA_DROP = (LeastGoal, MostGoal)
 
 
 class SeminaiveEngine:
@@ -115,6 +104,8 @@ class SeminaiveEngine:
         evaluation starts, and their binding patterns are registered as
         indices on the database up front.
         """
+        from repro.core.clique_eval import compile_clique, evaluate_plain_clique
+
         if db is None:
             db = Database()
         if self.tracer.enabled:
@@ -122,34 +113,34 @@ class SeminaiveEngine:
         for name, facts in self.program.ground_facts().items():
             db.assert_all(name, facts)
         order = self.graph.evaluation_order()
-        for group in order:
-            for clique in group:
-                for rule in clique.rules:
-                    drop = _EXTREMA_DROP if rule.extrema_goals else ()
-                    self.plans.plan(rule, drop=drop, db=db)
-                if clique.is_recursive:
-                    for rule, delta_index, _ in self._delta_variants(clique):
-                        drop = _EXTREMA_DROP if rule.extrema_goals else ()
-                        self.plans.plan(rule, delta_index=delta_index, drop=drop, db=db)
+        cliques = [clique for group in order for clique in group]
+        for clique in cliques:
+            compile_clique(clique, self.plans, db)
         self.plans.register_indices(db)
         self.governor.start(
             db, registry=self.tracer.registry, tracer=self.tracer, engine=self
         )
         start = time.perf_counter()
         try:
-            for group in order:
-                for clique in group:
-                    preds = sorted(key[0] for key in clique.predicates)
-                    kind = "recursive" if clique.is_recursive else "flat"
-                    with self.tracer.span(
-                        "clique", phase="clique", kind=kind, predicates=preds
-                    ):
-                        if any(rule.extrema_goals for rule in clique.rules):
-                            self._evaluate_extrema(clique, db)
-                        elif clique.is_recursive:
-                            self._evaluate_recursive(clique, db)
-                        else:
-                            self._evaluate_once(clique.rules, db)
+            for clique in cliques:
+                preds = sorted(key[0] for key in clique.predicates)
+                kind = "recursive" if clique.is_recursive else "flat"
+                with self.tracer.span(
+                    "clique", phase="clique", kind=kind, predicates=preds
+                ):
+                    derived, pruned = evaluate_plain_clique(
+                        clique,
+                        db,
+                        self.plans,
+                        tracer=self.tracer,
+                        governor=self.governor,
+                        stats=self.stats,
+                        program=self.program,
+                    )
+                if clique.rules:
+                    self.stats.facts_derived += derived
+                if pruned is not None:
+                    self.stats.facts_pruned_extrema += pruned
         except (BudgetExceeded, Cancelled) as exc:
             if exc.partial is None:
                 exc.partial = self._partial_result(db)
@@ -178,160 +169,3 @@ class SeminaiveEngine:
             metrics=self.tracer.registry.snapshot(),
             checkpoint=checkpoint,
         )
-
-    # -- non-recursive cliques ---------------------------------------------------
-
-    def _evaluate_once(self, rules: Tuple[Rule, ...], db: Database) -> None:
-        tracer = self.tracer
-        self.stats.iterations += 1
-        self.stats.rule_firings += len(rules)
-        for rule in rules:
-            relation = db.relation(rule.head.pred, rule.head.arity)
-            span = (
-                tracer.span("rule-firing", head=str(rule.head))
-                if tracer.enabled
-                else NULL_SPAN
-            )
-            with span:
-                new = 0
-                for fact in list(self.plans.consequences(rule, db)):
-                    if relation.add(fact):
-                        new += 1
-                span.note(new_facts=new)
-            self.stats.facts_derived += new
-
-    # -- extrema cliques ---------------------------------------------------------
-
-    def _evaluate_extrema(self, clique: Clique, db: Database) -> None:
-        """Evaluate a clique whose rules carry ``least``/``most`` goals.
-
-        A non-recursive clique applies the extremum per firing (post-hoc
-        group-by filter over the rule's solutions).  A recursive clique
-        must be premappable
-        (:func:`repro.core.rewriting.premappable_extrema`); evaluation is
-        then delegated to
-        :func:`repro.core.clique_eval.saturate_with_extrema`, which runs
-        the same seed + differential-delta scheme as
-        :meth:`_evaluate_recursive` under the engine's ``extrema`` policy.
-        """
-        from repro.core.clique_eval import extrema_filter, saturate_with_extrema
-        from repro.core.rewriting import premappable_extrema
-
-        if not clique.is_recursive:
-            self.stats.iterations += 1
-            self.stats.rule_firings += len(clique.rules)
-            for rule in clique.rules:
-                plan = self.plans.plan(rule, drop=_EXTREMA_DROP, db=db)
-                solutions = list(run_plan(plan, db))
-                if rule.extrema_goals:
-                    solutions = extrema_filter(solutions, rule.extrema_goals)
-                relation = db.relation(rule.head.pred, rule.head.arity)
-                new = 0
-                for subst in solutions:
-                    fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
-                    if relation.add(fact):
-                        new += 1
-                self.stats.facts_derived += new
-            return
-
-        specs = premappable_extrema(clique.rules, clique.predicates)
-        if specs is None:
-            offender = next(r for r in clique.rules if r.extrema_goals)
-            raise StratificationError(
-                f"extrema through recursion is not premappable: {offender}"
-            )
-        policy = self.plans.extrema
-        produced, pruned = saturate_with_extrema(
-            clique.rules,
-            clique.predicates,
-            specs,
-            db,
-            policy=policy,
-            cache=self.plans,
-            tracer=self.tracer,
-            governor=self.governor,
-        )
-        self.stats.facts_derived += sum(len(facts) for facts in produced.values())
-        self.stats.facts_pruned_extrema += pruned
-        if self.tracer.enabled:
-            self.tracer.event(
-                "extrema-pushdown",
-                clique=sorted(f"{n}/{a}" for n, a in clique.predicates),
-                policy=policy,
-                predicates=sorted(f"{n}/{a}" for n, a in specs),
-                pruned=pruned,
-            )
-
-    # -- recursive cliques ----------------------------------------------------------
-
-    def _evaluate_recursive(self, clique: Clique, db: Database) -> None:
-        tracer = self.tracer
-        predicates = clique.predicates
-        # Initial round: full evaluation of every rule seeds the deltas.
-        deltas: Dict[PredicateKey, Relation] = {
-            key: Relation(f"Δ{key[0]}", key[1]) for key in predicates
-        }
-        self.stats.iterations += 1
-        self.stats.rule_firings += len(clique.rules)
-        with tracer.span("saturation-round", phase="saturate", seed=True) as seed_span:
-            seeded = 0
-            for rule in clique.rules:
-                relation = db.relation(rule.head.pred, rule.head.arity)
-                for fact in list(self.plans.consequences(rule, db)):
-                    if relation.add(fact):
-                        seeded += 1
-                        deltas[rule.head.key].add(fact)
-            seed_span.note(delta_facts=seeded)
-        self.stats.facts_derived += seeded
-
-        # Differential rounds: each variant runs its delta-first plan.
-        variants = self._delta_variants(clique)
-        while any(len(delta) for delta in deltas.values()):
-            self.governor.tick_round()
-            self.stats.iterations += 1
-            new_deltas: Dict[PredicateKey, Relation] = {
-                key: Relation(f"Δ{key[0]}", key[1]) for key in predicates
-            }
-            with tracer.span("saturation-round", phase="saturate") as round_span:
-                fired = 0
-                derived = 0
-                for rule, delta_index, delta_key in variants:
-                    delta = deltas[delta_key]
-                    if not len(delta):
-                        continue
-                    fired += 1
-                    relation = db.relation(rule.head.pred, rule.head.arity)
-                    if tracer.enabled:
-                        rule_span = tracer.span(
-                            "rule-firing", head=str(rule.head), delta=delta_key[0]
-                        )
-                    else:
-                        rule_span = NULL_SPAN
-                    with rule_span:
-                        consequences = self.plans.consequences(
-                            rule, db, delta_index=delta_index, delta_relation=delta
-                        )
-                        new = 0
-                        for fact in list(consequences):
-                            if relation.add(fact):
-                                new_deltas[rule.head.key].add(fact)
-                                new += 1
-                        rule_span.note(new_facts=new)
-                    derived += new
-                round_span.note(
-                    rule_firings=fired,
-                    delta_facts=derived,
-                )
-            self.stats.rule_firings += fired
-            self.stats.facts_derived += derived
-            deltas = new_deltas
-
-    def _delta_variants(self, clique: Clique) -> List[Tuple[Rule, int, PredicateKey]]:
-        """One ``(rule, body-index, predicate)`` triple per occurrence of a
-        clique predicate in a rule body."""
-        variants: List[Tuple[Rule, int, PredicateKey]] = []
-        for rule in clique.rules:
-            for index, literal in enumerate(rule.body):
-                if isinstance(literal, Atom) and literal.key in clique.predicates:
-                    variants.append((rule, index, literal.key))
-        return variants

@@ -38,15 +38,17 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.clique_eval import _as_relation, body_solutions, saturate
-from repro.core.extrema_lattice import BestTable, PremapSpec
-from repro.datalog.atoms import (
-    Atom,
-    LeastGoal,
-    MostGoal,
-    Negation,
-    NegatedConjunction,
+from repro.core.clique_eval import (
+    EXTREMA_DROP,
+    _as_relation,
+    body_solutions,
+    delta_variants,
+    evaluate_plain_clique,
+    saturate,
 )
+from repro.core.extrema_lattice import BestTable, PremapSpec
+from repro.datalog.atoms import Atom, Negation, NegatedConjunction
+from repro.datalog.dependency import Clique
 from repro.datalog.plans import PlanCache, run_plan
 from repro.datalog.rules import Rule
 from repro.datalog.unify import ground_term, match_args, match_term
@@ -76,8 +78,6 @@ Ledger = Dict[Tuple[PredicateKey, Tuple[Any, ...]], Dict[Fact, int]]
 
 #: Runner-up facts retained per extrema group (best costs win eviction).
 LEDGER_CAP = 8
-
-_EXTREMA_DROP = (LeastGoal, MostGoal)
 
 
 def changed_under_negation(
@@ -223,7 +223,6 @@ def delete_closure(
     removed_inputs: Dict[PredicateKey, Set[Fact]],
     db: Database,
     cache: PlanCache,
-    drop: Tuple[type, ...] = (),
 ) -> Set[Tuple[PredicateKey, Fact]]:
     """The facts of *predicates* with at least one derivation through a
     removed input — the DRed over-approximation of what deletion kills.
@@ -233,16 +232,16 @@ def delete_closure(
     at its non-delta positions, so an instantiation that joined *two*
     removed facts would otherwise be missed (under-deletion).  Closure
     facts stay in the database while the closure grows, for the same
-    reason; the caller removes them afterwards.
+    reason; the caller removes them afterwards.  Plans drop extrema
+    goals, as every kernel plan does, so the closure and the insert pass
+    share them.
     """
     for key, facts in removed_inputs.items():
         relation = db.relation(key[0], key[1])
         for fact in facts:
             relation.add(fact)
-    from repro.core.clique_eval import _delta_variants
-
     carrying = set(predicates) | set(removed_inputs)
-    variants = _delta_variants(rules, carrying)
+    variants = delta_variants(rules, carrying)
     deltas: Dict[PredicateKey, Set[Fact]] = {
         key: set(facts) for key, facts in removed_inputs.items()
     }
@@ -256,7 +255,7 @@ def delete_closure(
             delta_rel = delta_relations.get(key)
             if delta_rel is None:
                 continue
-            plan = cache.plan(rule, delta_index=index, drop=drop, db=db)
+            plan = cache.plan(rule, delta_index=index, drop=EXTREMA_DROP, db=db)
             head = rule.head
             relation = db.relation(head.pred, head.arity)
             for subst in run_plan(plan, db, {}, delta_rel):
@@ -437,9 +436,7 @@ def apply_extrema(
     seed_table()
 
     if removed_inputs:
-        closure = delete_closure(
-            rules, predicates, removed_inputs, db, cache, drop=_EXTREMA_DROP
-        )
+        closure = delete_closure(rules, predicates, removed_inputs, db, cache)
         closure = {
             (key, fact)
             for key, fact in closure
@@ -490,7 +487,7 @@ def apply_extrema(
                 if initial is None:
                     continue
                 for subst in body_solutions(
-                    rule, db, initial=initial, drop=_EXTREMA_DROP, cache=cache
+                    rule, db, initial=initial, drop=EXTREMA_DROP, cache=cache
                 ):
                     fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
                     if observe_insert(key, fact):
@@ -516,10 +513,8 @@ def apply_extrema(
 
     # Insert phase: inserted inputs drive a first delta round, then
     # pushdown rounds continue from the (confluent) current best table.
-    from repro.core.clique_eval import _delta_variants
-
     carrying = set(predicates) | set(added_inputs)
-    variants = _delta_variants(rules, carrying)
+    variants = delta_variants(rules, carrying)
     pending: Dict[PredicateKey, Set[Fact]] = {
         key: set(facts) for key, facts in added_inputs.items() if facts
     }
@@ -538,7 +533,7 @@ def apply_extrema(
             delta_rel = delta_relations.get(key)
             if delta_rel is None:
                 continue
-            plan = cache.plan(rule, delta_index=index, drop=_EXTREMA_DROP, db=db)
+            plan = cache.plan(rule, delta_index=index, drop=EXTREMA_DROP, db=db)
             head = rule.head
             for subst in run_plan(plan, db, {}, delta_rel):
                 fact = tuple(ground_term(arg, subst) for arg in head.args)
@@ -564,7 +559,7 @@ def _derivable(
         initial = match_args(rule.head.args, fact, {})
         if initial is None:
             continue
-        if body_solutions(rule, db, initial=initial, drop=_EXTREMA_DROP, cache=cache):
+        if body_solutions(rule, db, initial=initial, drop=EXTREMA_DROP, cache=cache):
             return True
     return False
 
@@ -573,33 +568,19 @@ def _derivable(
 
 
 def recompute_unit(
-    rules: Sequence[Rule],
-    predicates: FrozenSet[PredicateKey],
+    clique: Clique,
     ground: Dict[PredicateKey, Set[Fact]],
     db: Database,
     cache: PlanCache,
     tracer: Any = None,
-    specs: Optional[Dict[PredicateKey, PremapSpec]] = None,
-    recursive: bool = True,
 ) -> None:
     """Clear a plain unit's write relations, re-assert its program-text
     ground facts, and evaluate from scratch — the fallback every delta
     algorithm reduces to when its exactness conditions fail."""
-    from repro.core.clique_eval import evaluate_rule_once, saturate_with_extrema
-
-    for key in predicates:
+    for key in clique.predicates:
         db.relation(key[0], key[1]).clear()
-    for key in predicates:
+    for key in clique.predicates:
         relation = db.relation(key[0], key[1])
         for fact in ground.get(key, frozenset()):
             relation.add(fact)
-    if not recursive:
-        for rule in rules:
-            evaluate_rule_once(rule, db, cache=cache, tracer=tracer)
-        return
-    if specs:
-        saturate_with_extrema(
-            rules, predicates, specs, db, policy="pushdown", cache=cache, tracer=tracer
-        )
-    else:
-        saturate(rules, predicates, db, seed_deltas=None, cache=cache, tracer=tracer)
+    evaluate_plain_clique(clique, db, cache, tracer=tracer)

@@ -439,15 +439,7 @@ class MaterializedView:
                 )
                 result.units_recomputed += 1
         elif unit.kind == "once":
-            maintain.recompute_unit(
-                unit.rules,
-                unit.predicates,
-                unit.ground,
-                self.db,
-                self.cache,
-                tracer=self.tracer,
-                recursive=False,
-            )
+            self._recompute(unit)
             result.units_recomputed += 1
         elif unit.kind == "dred":
             if maintain.changed_under_negation(unit.rules, touched):
@@ -547,26 +539,9 @@ class MaterializedView:
                 unit.rules, unit.predicates, unit.ground, self.db, self.cache
             )
             return
-        if unit.kind == "once":
+        if unit.kind in ("once", "dred", "extrema"):
             maintain.recompute_unit(
-                unit.rules,
-                unit.predicates,
-                unit.ground,
-                self.db,
-                self.cache,
-                tracer=self.tracer,
-                recursive=False,
-            )
-            return
-        if unit.kind in ("dred", "extrema"):
-            maintain.recompute_unit(
-                unit.rules,
-                unit.predicates,
-                unit.ground,
-                self.db,
-                self.cache,
-                tracer=self.tracer,
-                specs=unit.specs,
+                unit.report.clique, unit.ground, self.db, self.cache, tracer=self.tracer
             )
             return
         self._recompute_rng(unit)

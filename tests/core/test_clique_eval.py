@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 
+from repro.baselines import dijkstra_distances
+from repro.core import clique_eval
 from repro.core.clique_eval import (
     body_solutions,
     evaluate_rule_once,
@@ -10,7 +12,11 @@ from repro.core.clique_eval import (
     saturate,
 )
 from repro.datalog.parser import parse_program, parse_rule
+from repro.datalog.seminaive import SeminaiveEngine
+from repro.programs import texts
+from repro.programs._run import symmetric_edges
 from repro.storage.database import Database
+from repro.workloads.graphs import random_connected_graph
 
 
 def _db(**relations):
@@ -105,3 +111,32 @@ class TestSaturate:
             self.TC.proper_rules(), {("path", 2)}, db, seed_deltas={}
         )
         assert produced == {}
+
+
+class TestPushdownContract:
+    """Under a ``BestTable`` the kernel drops dominated inserts, and a fact
+    a better insert displaces leaves the relation and the pending delta
+    at once: it never drives a round (it would extend a dominated chain
+    and inflate the fixpoint, while the model stays right)."""
+
+    def test_displaced_facts_never_reach_a_delta_relation(self, monkeypatch):
+        nodes, edges = random_connected_graph(60, 120, seed=7)
+        db = _db(g=symmetric_edges(edges), source=[(nodes[0],)])
+        stale = []
+        handed = 0
+        as_relation = clique_eval._as_relation
+
+        def spy(key, facts):
+            nonlocal handed
+            relation = db.relation(key[0], key[1])
+            stale.extend(fact for fact in facts if fact not in relation)
+            handed += len(facts)
+            return as_relation(key, facts)
+
+        monkeypatch.setattr(clique_eval, "_as_relation", spy)
+        engine = SeminaiveEngine(parse_program(texts.SHORTEST_PATH), extrema="pushdown")
+        engine.run(db)
+        assert engine.stats.facts_pruned_extrema > 0
+        assert handed > 0, "no delta round ran — the check is vacuous"
+        assert stale == []
+        assert dict(db.facts("dist", 2)) == dijkstra_distances(edges, nodes[0])

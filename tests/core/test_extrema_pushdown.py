@@ -186,6 +186,7 @@ class TestPolicyEquivalence:
         engine.run()
         assert engine.stats.facts_pruned_extrema > 0
         (event,) = tracer.events("extrema-pushdown")
+        assert event.attrs["clique"] == "clique [dist/2]"
         assert event.attrs["policy"] == "pushdown"
         assert event.attrs["predicates"] == ["dist/2"]
         assert event.attrs["pruned"] == engine.stats.facts_pruned_extrema

@@ -51,6 +51,23 @@ def _program_for(engine):
     return PLAIN, PLAIN_FACTS
 
 
+#: The :data:`SITES` each engine visits on its :func:`_program_for`
+#: program.  A matrix cell whose site is missing here injects nothing.
+VISITED_SITES = {
+    "rql": {
+        "engine.gamma",
+        "engine.saturate",
+        "heap.insert",
+        "heap.pop",
+        "relation.add",
+    },
+    "basic": {"engine.gamma", "engine.saturate", "relation.add"},
+    "choice": {"engine.saturate", "relation.add"},
+    "naive": {"relation.add"},
+    "seminaive": {"engine.saturate", "relation.add"},
+}
+
+
 def _run(engine, injector):
     source, facts = _program_for(engine)
     compiled = compile_program(source, engine=engine)
@@ -101,6 +118,16 @@ def test_chaos_matrix(engine, site, mode, seed):
     if mode == "error" and injector.fired:
         # The planned fault actually aborted the run.
         assert not completed
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_visits_its_fault_sites(engine):
+    """Pins which sites each engine reaches, so the matrix cells that can
+    fire are known: every engine except the naive oracle saturates
+    through the shared kernel's ``engine.saturate`` site."""
+    injector = FaultInjector()
+    _run(engine, injector)
+    assert {site for site in SITES if injector.hits.get(site)} == VISITED_SITES[engine]
 
 
 class TestInjectorMechanics:
