@@ -11,7 +11,7 @@ while the uncached one grows with input size.
 from __future__ import annotations
 
 from benchmarks.conftest import print_experiment
-from repro.bench.runner import sweep
+from repro.bench.runner import paired_sweep
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SeminaiveEngine
 from repro.storage.database import Database
@@ -42,8 +42,15 @@ def _run(cache_plans: bool):
 
 
 def test_plan_cache_beats_per_call_planning(benchmark):
-    cached = sweep("tc/cached-plans", SIZES, _chain, _run(True), repeats=3)
-    uncached = sweep("tc/per-call-plans", SIZES, _chain, _run(False), repeats=3)
+    # Interleaved, so a change in machine speed mid-sweep cannot move the
+    # ratio between the two sides.
+    uncached, cached = paired_sweep(
+        ("tc/per-call-plans", "tc/cached-plans"),
+        SIZES,
+        _chain,
+        (_run(False), _run(True)),
+        repeats=3,
+    )
     rows = []
     for c, u in zip(cached.points, uncached.points):
         assert c.payload[0] == u.payload[0]  # identical models

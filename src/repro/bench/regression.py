@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.bench.runner import EmptySweepError, sweep
+from repro.bench.runner import EmptySweepError, paired_sweep, sweep
 from repro.core.compiler import compile_program, solve_program
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SeminaiveEngine
@@ -707,8 +707,13 @@ def run_regression(
     repeats: int = 3,
 ) -> Dict[str, Any]:
     """Measure the sweeps and return the report as a plain dict."""
-    uncached = sweep("tc/per-call-plans", tc_sizes, _chain, _tc_op(False), repeats=repeats)
-    cached = sweep("tc/cached-plans", tc_sizes, _chain, _tc_op(True), repeats=repeats)
+    uncached, cached = paired_sweep(
+        ("tc/per-call-plans", "tc/cached-plans"),
+        tc_sizes,
+        _chain,
+        (_tc_op(False), _tc_op(True)),
+        repeats=repeats,
+    )
     greedy = sweep(
         "sorting/rql",
         sort_sizes,

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Sequence, Tuple
 
 __all__ = [
     "EmptySweepError",
     "SweepPoint",
     "SweepResult",
     "sweep",
+    "paired_sweep",
     "fitted_exponent",
 ]
 
@@ -100,6 +101,43 @@ def sweep(
             best = min(best, elapsed)
         result.points.append(SweepPoint(size, best, output))
     return result
+
+
+def paired_sweep(
+    labels: Tuple[str, str],
+    sizes: Sequence[int],
+    make_input: Callable[[int], Any],
+    operations: Tuple[Callable[[Any], Any], Callable[[Any], Any]],
+    repeats: int = 3,
+) -> Tuple[SweepResult, SweepResult]:
+    """:func:`sweep` for two operations on the same inputs, **interleaved**:
+    every repeat times the first operation, then the second, so a change
+    in machine speed during the sweep hits both sides alike instead of
+    moving their ratio.  Each side records its best of *repeats*.
+
+    Raises:
+        EmptySweepError: as :func:`sweep`.
+    """
+    label = " / ".join(labels)
+    if not sizes:
+        raise EmptySweepError(f"sweep {label!r} produced zero samples: empty size list")
+    if repeats < 1:
+        raise EmptySweepError(
+            f"sweep {label!r} produced zero samples: repeats={repeats}"
+        )
+    results = (SweepResult(labels[0]), SweepResult(labels[1]))
+    for size in sizes:
+        payload = make_input(size)
+        best = [math.inf, math.inf]
+        outputs: List[Any] = [None, None]
+        for _ in range(repeats):
+            for side, operation in enumerate(operations):
+                start = time.perf_counter()
+                outputs[side] = operation(payload)
+                best[side] = min(best[side], time.perf_counter() - start)
+        for side, result in enumerate(results):
+            result.points.append(SweepPoint(size, best[side], outputs[side]))
+    return results
 
 
 def fitted_exponent(sizes: Sequence[int], times: Sequence[float]) -> float:

@@ -115,7 +115,7 @@ def body_solutions(
     """
     initial = initial or {}
     plan = _plan(rule, db, cache, drop, bound=frozenset(initial))
-    return list(run_plan(plan, db, dict(initial)))
+    return run_plan(plan, db, dict(initial))
 
 
 def evaluate_rule_once(
@@ -140,13 +140,21 @@ def evaluate_rule_once(
     traced = tracer is not None and tracer.enabled
     span = tracer.span("rule-firing", head=str(rule.head)) if traced else NULL_SPAN
     with span:
-        solutions = body_solutions(rule, db, initial, drop=EXTREMA_DROP, cache=cache)
-        if best is None:
-            extrema = rule.extrema_goals
-            if extrema:
-                solutions = extrema_filter(solutions, extrema)
-        new_facts = _derive(rule, solutions, db, best)
-        span.note(solutions=len(solutions), new_facts=len(new_facts))
+        extrema = rule.extrema_goals if best is None else ()
+        if extrema:
+            solutions = extrema_filter(
+                body_solutions(rule, db, initial, drop=EXTREMA_DROP, cache=cache),
+                extrema,
+            )
+            head = rule.head.args
+            facts = [tuple(ground_term(arg, s) for arg in head) for s in solutions]
+        else:
+            plan = _plan(
+                rule, db, cache, EXTREMA_DROP, bound=frozenset(initial or ())
+            )
+            facts = plan.consequences(db, subst=initial)
+        new_facts = _derive(rule, facts, db, best)
+        span.note(solutions=len(facts), new_facts=len(new_facts))
     return new_facts
 
 
@@ -266,9 +274,9 @@ def saturate(
                 )
                 with firing:
                     plan = _plan(rule, db, cache, EXTREMA_DROP, delta_index=index)
-                    solutions = list(run_plan(plan, db, {}, delta_rel))
-                    fresh = _derive(rule, solutions, db, best)
-                    firing.note(solutions=len(solutions), new_facts=len(fresh))
+                    facts = plan.consequences(db, delta_relation=delta_rel)
+                    fresh = _derive(rule, facts, db, best)
+                    firing.note(solutions=len(facts), new_facts=len(fresh))
                 if fresh:
                     head_key = rule.head.key
                     produced.setdefault(head_key, []).extend(fresh)
@@ -433,28 +441,32 @@ def _plan(
         for index, literal in enumerate(rule.body)
         if not isinstance(literal, drop)
     ]
-    return compile_plan(literals, initially_bound=bound, delta_index=delta_index, db=db)
+    return compile_plan(
+        literals,
+        initially_bound=bound,
+        delta_index=delta_index,
+        head_args=rule.head.args,
+        db=db,
+    )
 
 
 def _derive(
-    rule: Rule, solutions: List[Subst], db: Database, best: BestTable | None
+    rule: Rule, facts: List[Fact], db: Database, best: BestTable | None
 ) -> List[Fact]:
-    """Ground *rule*'s head over *solutions* and add the facts to *db*,
-    through *best* when given; returns the facts that were new."""
+    """Add *rule*'s head *facts* to *db*, through *best* when given;
+    returns the facts that were new."""
     head = rule.head
-    args = head.args
     relation = db.relation(head.pred, head.arity)
     new_facts: List[Fact] = []
     if best is None:
-        for subst in solutions:
-            fact = tuple(ground_term(arg, subst) for arg in args)
-            if relation.add(fact):
+        add = relation.add
+        for fact in facts:
+            if add(fact):
                 new_facts.append(fact)
         return new_facts
     key = (head.pred, head.arity)
     observe = best.observe
-    for subst in solutions:
-        fact = tuple(ground_term(arg, subst) for arg in args)
+    for fact in facts:
         accepted, displaced = observe(key, fact)
         if not accepted:
             continue

@@ -527,7 +527,7 @@ class GreedyStageEngine(BasicStageEngine):
         if base is None:  # pragma: no cover - prefiltered at insertion
             return None
         base[plan.stage_var] = state.stage + 1
-        solutions = list(run_plan(plan.rest_plan, db, base))
+        solutions = run_plan(plan.rest_plan, db, base)
         self.stats.gamma_candidates_examined += len(solutions)
         if len(solutions) > 1:
             solutions.sort(

@@ -12,6 +12,8 @@ This subpackage is the substrate the paper's constructs are built on:
   (SCCs) and the stratified-negation check;
 * :mod:`repro.datalog.plans` — rule-body compilation: reusable
   execution plans (with delta-specialized variants) and the plan cache;
+  :mod:`repro.datalog.frames` lowers each plan onto a slot frame, the
+  closures every run executes;
 * :mod:`repro.datalog.naive` / :mod:`repro.datalog.seminaive` — bottom-up
   fixpoint evaluation for (stratified) programs without meta-goals.
 

@@ -13,6 +13,7 @@ columns are well defined.  Within a kind, the native Python order applies.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Dict, Optional
 
 from repro.datalog.atoms import Comparison
@@ -20,20 +21,28 @@ from repro.datalog.terms import Const, Struct, Term, Var
 from repro.datalog.unify import Subst, ground_term, is_bound, match_term
 from repro.errors import EvaluationError
 
-__all__ = ["eval_expr", "eval_comparison", "order_key", "compare_values", "ARITHMETIC_FUNCTORS"]
+__all__ = [
+    "eval_expr",
+    "eval_comparison",
+    "order_key",
+    "compare_values",
+    "ARITHMETIC_FUNCTORS",
+    "COMPARISON_CHECKS",
+    "NATIVE_COMPARISONS",
+]
 
 #: Functors interpreted arithmetically inside comparison expressions.
 ARITHMETIC_FUNCTORS: Dict[str, Callable[..., Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "//": lambda a, b: a // b,
-    "mod": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "//": operator.floordiv,
+    "mod": operator.mod,
     "max": lambda a, b: a if compare_values(a, b) >= 0 else b,
     "min": lambda a, b: a if compare_values(a, b) <= 0 else b,
     "abs": abs,
-    "neg": lambda a: -a,
+    "neg": operator.neg,
 }
 
 
@@ -94,7 +103,8 @@ def compare_values(a: Any, b: Any) -> int:
     return 0
 
 
-_CHECKS: Dict[str, Callable[[int], bool]] = {
+#: Per operator, the test on :func:`compare_values`' three-way result.
+COMPARISON_CHECKS: Dict[str, Callable[[int], bool]] = {
     "<": lambda c: c < 0,
     "<=": lambda c: c <= 0,
     ">": lambda c: c > 0,
@@ -102,6 +112,20 @@ _CHECKS: Dict[str, Callable[[int], bool]] = {
     "=": lambda c: c == 0,
     "==": lambda c: c == 0,
     "!=": lambda c: c != 0,
+}
+
+#: Per operator, Python's own comparison.  It agrees with the total order
+#: when both operands are ``int`` or both are ``str`` (exact types: a
+#: ``bool`` or a ``float`` takes the :data:`COMPARISON_CHECKS` path), which
+#: lets a compiled plan skip :func:`order_key` on the common case.
+NATIVE_COMPARISONS: Dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 
 
@@ -132,6 +156,6 @@ def eval_comparison(comp: Comparison, subst: Subst) -> Optional[Subst]:
             raise EvaluationError(f"both sides of {comp} are unbound")
     left = eval_expr(comp.left, subst)
     right = eval_expr(comp.right, subst)
-    if _CHECKS[comp.op](compare_values(left, right)):
+    if COMPARISON_CHECKS[comp.op](compare_values(left, right)):
         return subst
     return None

@@ -17,9 +17,8 @@ from typing import Any, List
 
 from repro.datalog.atoms import LeastGoal, MostGoal
 from repro.datalog.dependency import Clique, DependencyGraph
-from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache, run_plan
+from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache
 from repro.datalog.program import Program
-from repro.datalog.unify import ground_term
 from repro.errors import (
     BudgetExceeded,
     Cancelled,
@@ -250,8 +249,7 @@ class NaiveEngine:
             for rule in clique.rules:
                 plan = self.plans.plan(rule, drop=_EXTREMA_DROP, db=db)
                 relation = db.relation(rule.head.pred, rule.head.arity)
-                for subst in list(run_plan(plan, db)):
-                    fact = tuple(ground_term(arg, subst) for arg in rule.head.args)
+                for fact in plan.consequences(db):
                     if best is not None:
                         accepted, displaced = best.observe(rule.head.key, fact)
                         if not accepted:
@@ -291,7 +289,7 @@ class NaiveEngine:
             with tracer.span("saturation-round", phase="saturate") as round_span:
                 derived = 0
                 for rule in rules:
-                    new_facts = list(self.plans.consequences(rule, db))
+                    new_facts = self.plans.consequences(rule, db)
                     relation = db.relation(rule.head.pred, rule.head.arity)
                     for fact in new_facts:
                         if relation.add(fact):

@@ -45,11 +45,28 @@ Two refinements matter for the seminaive engine:
   candidate substitution.  Compilation builds the inner plan exactly once
   (the set of bound variables at a plan position is static).
 
-Static boundness is sound because the runtime substitution at each step
-binds exactly the initially-bound variables plus the named variables of
-the already-executed steps — understating boundness (wildcards, variables
-the analysis cannot see) only demotes an argument to the matched-free
-path, which is slower but never wrong.
+Static boundness — the planner's ``bound`` set at each step — decides
+the bound/free split and therefore which index a lookup uses.  It counts
+every named variable of the executed steps, a negated conjunction's
+local variables included, although negations and negated conjunctions
+bind nothing; no later goal can name such a local (the planner only
+schedules a negated conjunction once every variable it shares with the
+remaining goals is bound), so the over-count never reaches a lookup.
+Execution needs more than that: :mod:`repro.datalog.frames` lowers each
+plan onto a slot frame, and a slot read is only right if the variable is
+bound at run time.  So lowering tracks exact run-time boundness itself —
+the initially bound names, then what positive atoms and ``=``
+assignments bind — and a read of anything else raises the reference
+evaluator's ``EvaluationError`` when it runs.
+
+Every plan is lowered once, in :func:`compile_plan`.
+:meth:`CompiledPlan.consequences` hands back head facts without building
+a substitution; :func:`run_plan` builds one per solution, at its
+boundary, for the callers that need bindings (the greedy engine's
+residual plans, ``explain``, :func:`repro.core.clique_eval.body_solutions`).
+Both run eagerly and keep the depth-first solution order.
+:func:`repro.datalog.evaluation.solve` stays the reference they are
+tested against.
 
 :class:`PlanCache` memoizes compiled plans per ``(rule, delta occurrence,
 initially-bound set, dropped goal kinds)`` and feeds the engine counters
@@ -66,7 +83,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -83,11 +99,11 @@ from repro.datalog.atoms import (
     NegatedConjunction,
     Negation,
 )
-from repro.datalog.builtins import eval_comparison
 from repro.datalog.evaluation import _outer_vars, comparison_ready, plan_body
+from repro.datalog.frames import LoweredPlan, lower
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Term
-from repro.datalog.unify import Subst, ground_term, match_term
+from repro.datalog.unify import Subst
 from repro.errors import EvaluationError
 from repro.storage.database import Database
 from repro.storage.relation import Relation
@@ -326,6 +342,8 @@ class CompiledPlan:
             ``written`` policy would have produced for the same inputs.
         decisions: human-readable greedy atom-choice notes, surfaced by
             plan explain and trace output.
+        lowered: the plan lowered onto a slot frame
+            (:mod:`repro.datalog.frames`), which every run executes.
     """
 
     steps: Tuple[CompiledStep, ...]
@@ -335,6 +353,7 @@ class CompiledPlan:
     order: str = DEFAULT_ORDER
     reordered: bool = False
     decisions: Tuple[str, ...] = ()
+    lowered: Optional[LoweredPlan] = field(default=None, compare=False, repr=False)
 
     def solutions(
         self,
@@ -342,8 +361,8 @@ class CompiledPlan:
         subst: Subst | None = None,
         delta_relation: Relation | None = None,
         neg_db: Database | None = None,
-    ) -> Iterator[Subst]:
-        """Yield every substitution satisfying the plan against *db*."""
+    ) -> List[Subst]:
+        """Every substitution satisfying the plan against *db*."""
         return run_plan(self, db, subst, delta_relation, neg_db)
 
     def consequences(
@@ -351,13 +370,18 @@ class CompiledPlan:
         db: Database,
         delta_relation: Relation | None = None,
         neg_db: Database | None = None,
-    ) -> Iterator[Fact]:
-        """Yield every head fact derivable through this plan."""
+        subst: Subst | None = None,
+    ) -> List[Fact]:
+        """Every head fact derivable through this plan, one per solution
+        (duplicates included), in solution order.  No substitution is
+        built; *subst* supplies the ``initially_bound`` names, as for
+        :func:`run_plan`."""
         if self.head_args is None:
             raise EvaluationError("plan was compiled without a head")
-        head_args = self.head_args
-        for subst in run_plan(self, db, None, delta_relation, neg_db):
-            yield tuple(ground_term(arg, subst) for arg in head_args)
+        lowered = self.lowered
+        if self.delta_index is not None and delta_relation is None:
+            raise EvaluationError("delta-specialized plan needs a delta relation")
+        return lowered.run(lowered.facts, db, subst, delta_relation, neg_db or db)
 
     def ordered_literals(self) -> List[Tuple[Literal, int]]:
         """The ``(literal, original_index)`` pairs in execution order —
@@ -459,14 +483,16 @@ def compile_plan(
             )
         )
         bound |= _named_vars(literal)
+    initially_bound = frozenset(initially_bound)
     return CompiledPlan(
         tuple(steps),
-        frozenset(initially_bound),
+        initially_bound,
         delta_index,
         head_args,
         order=order,
         reordered=reordered,
         decisions=tuple(decisions) if order == "greedy" else (),
+        lowered=lower(steps, initially_bound, head_args),
     )
 
 
@@ -542,8 +568,15 @@ def run_plan(
     subst: Subst | None = None,
     delta_relation: Relation | None = None,
     neg_db: Database | None = None,
-) -> Iterator[Subst]:
-    """Yield every substitution satisfying *plan* against *db*.
+) -> List[Subst]:
+    """Every substitution satisfying *plan* against *db*, in depth-first
+    solution order.
+
+    Each solution is *subst* extended by the variables the plan bound (a
+    negated conjunction's local variables are not among them); when the
+    plan binds nothing, it is *subst* itself.  The solutions are computed
+    before this returns, so the caller may mutate *db* while it iterates
+    them.
 
     Args:
         plan: a compiled plan.
@@ -556,73 +589,8 @@ def run_plan(
     """
     if plan.delta_index is not None and delta_relation is None:
         raise EvaluationError("delta-specialized plan needs a delta relation")
-    return _run_from(
-        plan.steps, 0, db, subst if subst is not None else {}, delta_relation, neg_db or db
-    )
-
-
-def _run_from(
-    steps: Tuple[CompiledStep, ...],
-    at: int,
-    db: Database,
-    subst: Subst,
-    delta_relation: Relation | None,
-    neg_db: Database,
-) -> Iterator[Subst]:
-    if at == len(steps):
-        yield subst
-        return
-    step = steps[at]
-    literal = step.literal
-    if isinstance(literal, Atom):
-        if step.is_delta:
-            relation: Relation | None = delta_relation
-        else:
-            relation = db.get(literal.pred, literal.arity)
-        if relation is None or not len(relation):
-            return
-        values = tuple(ground_term(arg, subst) for _, arg in step.bound_slots)
-        free_slots = step.free_slots
-        for fact in relation.lookup(step.positions, values):
-            extended: Optional[Subst] = subst
-            for position, arg in free_slots:
-                extended = match_term(arg, fact[position], extended)
-                if extended is None:
-                    break
-            if extended is not None:
-                yield from _run_from(steps, at + 1, db, extended, delta_relation, neg_db)
-    elif isinstance(literal, Comparison):
-        extended = eval_comparison(literal, subst)
-        if extended is not None:
-            yield from _run_from(steps, at + 1, db, extended, delta_relation, neg_db)
-    elif isinstance(literal, Negation):
-        atom = literal.atom
-        relation = neg_db.get(atom.pred, atom.arity)
-        if relation is None or not _negated_exists(step, relation, subst):
-            yield from _run_from(steps, at + 1, db, subst, delta_relation, neg_db)
-    elif isinstance(literal, NegatedConjunction):
-        inner = step.inner
-        assert inner is not None
-        witness = next(
-            _run_from(inner.steps, 0, neg_db, subst, None, neg_db), None
-        )
-        if witness is None:
-            yield from _run_from(steps, at + 1, db, subst, delta_relation, neg_db)
-    else:  # pragma: no cover - compile_plan rejects meta-goals
-        raise EvaluationError(f"meta-goal {literal} reached the plan executor")
-
-
-def _negated_exists(step: CompiledStep, relation: Relation, subst: Subst) -> bool:
-    values = tuple(ground_term(arg, subst) for _, arg in step.bound_slots)
-    for fact in relation.lookup(step.positions, values):
-        extended: Optional[Subst] = subst
-        for position, arg in step.free_slots:
-            extended = match_term(arg, fact[position], extended)
-            if extended is None:
-                break
-        if extended is not None:
-            return True
-    return False
+    lowered = plan.lowered
+    return lowered.run(lowered.substs, db, subst, delta_relation, neg_db or db)
 
 
 def register_plan_indices(plan: CompiledPlan, db: Database) -> None:
@@ -811,7 +779,7 @@ class PlanCache:
         delta_index: int | None = None,
         delta_relation: Relation | None = None,
         neg_db: Database | None = None,
-    ) -> Iterator[Fact]:
+    ) -> List[Fact]:
         """Every head fact derivable from *rule* against *db*, through the
         cached (delta-specialized) plan.  The drop-free equivalent of
         :func:`repro.datalog.evaluation.rule_consequences`."""

@@ -8,8 +8,9 @@ touched unit to one of the algorithms here:
   net changes hit a rule at exactly one positive body position and the
   rule references no other changed predicate, a single run of the
   delta-specialized plan is an *exact* count delta (other literals read
-  identical state old vs new, and :func:`run_plan` preserves duplicate
-  substitutions); any harder shape falls back to a full recount of the
+  identical state old vs new, and
+  :meth:`~repro.datalog.plans.CompiledPlan.consequences` yields one head
+  fact per solution, duplicates included); any harder shape falls back to a full recount of the
   unit, which is still just a diff against the stored counts.
 * **DRed** (recursive, extrema-free) — delete-closure over the delta
   plans (with the removed inputs temporarily re-added, so instantiations
@@ -49,7 +50,7 @@ from repro.core.clique_eval import (
 from repro.core.extrema_lattice import BestTable, PremapSpec
 from repro.datalog.atoms import Atom, Negation, NegatedConjunction
 from repro.datalog.dependency import Clique
-from repro.datalog.plans import PlanCache, run_plan
+from repro.datalog.plans import PlanCache
 from repro.datalog.rules import Rule
 from repro.datalog.unify import ground_term, match_args, match_term
 from repro.incremental import hooks
@@ -162,8 +163,7 @@ def apply_counting_delta(
             if not facts:
                 continue
             delta_rel = _as_relation(key, list(facts))
-            for subst in run_plan(compiled, db, {}, delta_rel):
-                fact = tuple(ground_term(arg, subst) for arg in head.args)
+            for fact in compiled.consequences(db, delta_relation=delta_rel):
                 if sign < 0:
                     relation.drop_support(fact)
                 else:
@@ -258,8 +258,7 @@ def delete_closure(
             plan = cache.plan(rule, delta_index=index, drop=EXTREMA_DROP, db=db)
             head = rule.head
             relation = db.relation(head.pred, head.arity)
-            for subst in run_plan(plan, db, {}, delta_rel):
-                fact = tuple(ground_term(arg, subst) for arg in head.args)
+            for fact in plan.consequences(db, delta_relation=delta_rel):
                 if fact in relation and (head.key, fact) not in closure:
                     closure.add((head.key, fact))
                     next_deltas.setdefault(head.key, set()).add(fact)
@@ -534,10 +533,9 @@ def apply_extrema(
             if delta_rel is None:
                 continue
             plan = cache.plan(rule, delta_index=index, drop=EXTREMA_DROP, db=db)
-            head = rule.head
-            for subst in run_plan(plan, db, {}, delta_rel):
-                fact = tuple(ground_term(arg, subst) for arg in head.args)
-                observe_insert(head.key, fact)
+            head_key = rule.head.key
+            for fact in plan.consequences(db, delta_relation=delta_rel):
+                observe_insert(head_key, fact)
         pending, deltas = deltas, {}
     return {
         "invalidated": invalidated,

@@ -53,7 +53,7 @@ def least_model(program: Program, edb: Database, neg_db: Database | None = None)
         changed = False
         for rule in rules:
             relation = db.relation(rule.head.pred, rule.head.arity)
-            for fact in list(plans.consequences(rule, db, neg_db=neg_db)):
+            for fact in plans.consequences(rule, db, neg_db=neg_db):
                 if relation.add(fact):
                     changed = True
     return db
@@ -91,7 +91,7 @@ def is_stable_model(program: Program, model: Database) -> bool:
         for rule in rules:
             relation = db.relation(rule.head.pred, rule.head.arity)
             model_relation = model.relation(rule.head.pred, rule.head.arity)
-            for fact in list(plans.consequences(rule, db, neg_db=model)):
+            for fact in plans.consequences(rule, db, neg_db=model):
                 if fact not in model_relation:
                     return False
                 if relation.add(fact):
@@ -136,7 +136,7 @@ def complete_model(program: Program, db: Database) -> Tuple[Program, Database]:
             changed = False
             for rule in group:
                 relation = model.relation(rule.head.pred, rule.head.arity)
-                for fact in list(plans.consequences(rule, model, neg_db=model)):
+                for fact in plans.consequences(rule, model, neg_db=model):
                     if relation.add(fact):
                         changed = True
     return rewritten, model

@@ -14,11 +14,15 @@ a ``tuple``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 __all__ = ["Relation"]
 
 Fact = Tuple[Any, ...]
+
+#: Projects a fact onto an index's positions: the index key.
+Keyer = Callable[[Fact], Tuple[Any, ...]]
 
 
 class Relation:
@@ -44,6 +48,9 @@ class Relation:
         self._facts: Set[Fact] = set()
         # positions-tuple -> {key-values-tuple -> set of facts}
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Set[Fact]]] = {}
+        # (key extractor, index) per index, built with it: add and discard
+        # project each fact once per index through these.
+        self._keyed: List[Tuple[Keyer, Dict[Tuple[Any, ...], Set[Fact]]]] = []
         # Derivation-support counts for counting-based incremental view
         # maintenance (repro.incremental).  Only facts tracked through
         # add_support/drop_support appear here; plain add/discard leave
@@ -95,9 +102,13 @@ class Relation:
         if fact in self._facts:
             return False
         self._facts.add(fact)
-        for positions, index in self._indexes.items():
-            key = tuple(fact[p] for p in positions)
-            index.setdefault(key, set()).add(fact)
+        for keyer, index in self._keyed:
+            key = keyer(fact)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {fact}
+            else:
+                bucket.add(fact)
         return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
@@ -110,8 +121,8 @@ class Relation:
             return False
         self._facts.remove(fact)
         self._support.pop(fact, None)
-        for positions, index in self._indexes.items():
-            key = tuple(fact[p] for p in positions)
+        for keyer, index in self._keyed:
+            key = keyer(fact)
             bucket = index.get(key)
             if bucket is not None:
                 bucket.discard(fact)
@@ -122,6 +133,7 @@ class Relation:
     def clear(self) -> None:
         self._facts.clear()
         self._indexes.clear()
+        self._keyed.clear()
         self._support.clear()
 
     # -- derivation-support counts (incremental maintenance) -------------------
@@ -287,12 +299,27 @@ class Relation:
                 )
         if self.metrics is not None:
             self.metrics.inc("relation/index_builds")
+        keyer = _keyer(positions)
         index: Dict[Tuple[Any, ...], Set[Fact]] = {}
         for fact in self._facts:
-            key = tuple(fact[p] for p in positions)
-            index.setdefault(key, set()).add(fact)
+            key = keyer(fact)
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = {fact}
+            else:
+                bucket.add(fact)
         self._indexes[positions] = index
+        self._keyed.append((keyer, index))
         return index
+
+
+def _keyer(positions: Tuple[int, ...]) -> Keyer:
+    """The key extractor of the index on *positions*: ``(fact[p],)`` for
+    one position, ``itemgetter`` (which returns a tuple) for more."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda fact: (fact[p],)
+    return itemgetter(*positions)
 
 
 _EMPTY_SET: Set[Fact] = frozenset()  # type: ignore[assignment]

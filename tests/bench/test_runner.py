@@ -12,6 +12,7 @@ from repro.bench.runner import (
     SweepPoint,
     SweepResult,
     fitted_exponent,
+    paired_sweep,
     sweep,
 )
 
@@ -85,6 +86,37 @@ class TestSweep:
         # Callers that caught ValueError from the old silent path (via
         # fitted_exponent) keep working.
         assert issubclass(EmptySweepError, ValueError)
+
+
+class TestPairedSweep:
+    def test_sides_alternate_on_every_repeat(self):
+        calls = []
+        before, after = paired_sweep(
+            ("before", "after"),
+            sizes=[1, 2],
+            make_input=lambda n: n,
+            operations=(
+                lambda n: calls.append(("before", n)) or -n,
+                lambda n: calls.append(("after", n)) or n,
+            ),
+            repeats=3,
+        )
+        # Interleaved per repeat, not one block per side: a machine-speed
+        # change mid-sweep hits both sides alike.
+        assert calls == [("before", 1), ("after", 1)] * 3 + [
+            ("before", 2),
+            ("after", 2),
+        ] * 3
+        assert (before.label, after.label) == ("before", "after")
+        assert before.sizes == after.sizes == [1, 2]
+        assert [p.payload for p in before.points] == [-1, -2]
+        assert [p.payload for p in after.points] == [1, 2]
+
+    def test_empty_sweeps_fail_loudly(self):
+        with pytest.raises(EmptySweepError, match="zero samples"):
+            paired_sweep(("a", "b"), [], lambda n: n, (abs, abs))
+        with pytest.raises(EmptySweepError, match="zero samples"):
+            paired_sweep(("a", "b"), [1], lambda n: n, (abs, abs), repeats=0)
 
 
 class TestRegressionCLI:

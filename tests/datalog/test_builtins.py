@@ -7,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datalog.atoms import Comparison
+from repro.datalog.atoms import COMPARISON_OPS
 from repro.datalog.builtins import (
+    COMPARISON_CHECKS,
+    NATIVE_COMPARISONS,
     compare_values,
     eval_comparison,
     eval_expr,
@@ -97,6 +100,20 @@ class TestTotalOrder:
     @given(value_strategy, value_strategy)
     def test_order_is_antisymmetric(self, a, b):
         assert compare_values(a, b) == -compare_values(b, a)
+
+    @given(
+        st.one_of(
+            st.tuples(st.integers(), st.integers()),
+            st.tuples(st.text(max_size=3), st.text(max_size=3)),
+        )
+    )
+    def test_native_comparisons_agree_on_ints_and_strings(self, pair):
+        # Compiled plans compare two ints or two strs natively; the total
+        # order must give the same answer there.
+        a, b = pair
+        for op in COMPARISON_OPS:
+            expected = COMPARISON_CHECKS[op](compare_values(a, b))
+            assert NATIVE_COMPARISONS[op](a, b) == expected, op
 
 
 class TestEvalComparison:

@@ -9,10 +9,12 @@ solver.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.datalog.atoms import NegatedConjunction, Negation
-from repro.datalog.evaluation import rule_consequences
+from repro.datalog.evaluation import plan_body, rule_consequences, solve
 from repro.datalog.naive import NaiveEngine
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.plans import (
@@ -36,6 +38,10 @@ def _db(**relations):
 
 def _order(plan):
     return [str(step.literal) for step in plan.steps]
+
+
+def _multiset(substs):
+    return Counter(tuple(sorted(s.items(), key=repr)) for s in substs)
 
 
 class TestGoldenPlans:
@@ -101,27 +107,81 @@ class TestGoldenPlans:
         assert [pos for pos, _ in neg.free_slots] == [1]
 
 
+#: Mixed kinds, bools, floats (NaN included), None and tuples: compiled
+#: comparisons must follow the total order on them, not Python's.
+MIXED = [0, 1, 2, True, False, 1.0, 2.5, float("nan"), None, "a", "b", ("t", 1), ("t", "a")]
+
+
 class TestCompiledExecution:
+    #: ``(rule, extra facts)``: each rule runs over the shared facts below
+    #: plus its extra ones.
     PARITY_RULES = [
         ("p(X, Z) <- q(X, Y), r(Y, Z).", {}),
-        ("p(X) <- q(X), not bad(X).", {}),
+        ("p(X) <- q(X), not bad(X).", {"q": [("a",), ("b",)]}),
         ("p(X) <- q(X, C), not (q(Y, D), D < C).", {}),
         ("p(X, K) <- q(X, J), K = J * 2, K > 3.", {}),
         ("child(X) <- h(t(X, _)).", {}),
+        ("p(X) <- q(X, X).", {"q": [("d", "d"), (7, 7), (8, 8.0)]}),
+        ("p(Y) <- q(a, Y).", {"q": [("a", 9), ("ab", 3)]}),
+        ("p(A, B) <- h(T), T = t(A, B).", {"h": [(("t", 1, ("t", 2, 3)),), (("t", 4),)]}),
+        ("p(X) <- h((X, _)).", {"h": [(("e", "f"),), (("g",),), ((1, ("e", "f")),)]}),
+        ("p(X, Y) <- q(X, _), h(t(X, Y)).", {"h": [(("t", "c", 6),), (("t", "z", 7),)]}),
+        (
+            "p(X, C) <- q(X, C), C < X.",
+            {
+                "q": [
+                    (3, 1), (1, 3), ("z", "y"), ("y", "z"), (2, "w"), (("t", 1), 5),
+                    (True, 0), (2.5, 2), (2, 2.5), (None, 0), (0, None), ("k", ("t", 1)),
+                ]
+            },
+        ),
+        ("p(X, Y) <- v(X), w(Y), X = Y.", {"v": [(x,) for x in MIXED], "w": [(y,) for y in MIXED]}),
+        ("p(X, Y) <- v(X), w(Y), X != Y.", {"v": [(x,) for x in MIXED], "w": [(y,) for y in MIXED]}),
+        ("p(X) <- q(X, _), not q(_, X).", {"q": [("d", "a"), ("e", "e")]}),
+        (
+            "p(X) <- q(X, C), not (h(t(X, D)), D < C).",
+            {"h": [(("t", "b", 1),), (("t", "c", 9),), (("t", "c", "x"),)]},
+        ),
     ]
 
-    @pytest.mark.parametrize("source,_", PARITY_RULES, ids=[r for r, _ in PARITY_RULES])
-    def test_matches_legacy_solver(self, source, _):
-        rule = parse_rule(source)
+    @staticmethod
+    def _parity_db(extra):
         db = _db(
             q=[("a", 1), ("b", 2), ("c", 5)],
             r=[(1, "u"), (2, "v")],
             bad=[("b",)],
             h=[(("t", "a", "b"),), (("u", "c", "d"),)],
         )
-        legacy = set(rule_consequences(rule, db))
-        compiled = set(compile_rule(rule).plan.consequences(db))
-        assert compiled == legacy
+        for name, facts in extra.items():
+            db.assert_all(name, facts)
+        return db
+
+    @pytest.mark.parametrize(
+        "source,extra", PARITY_RULES, ids=[r for r, _ in PARITY_RULES]
+    )
+    def test_matches_legacy_solver(self, source, extra):
+        rule = parse_rule(source)
+        db = self._parity_db(extra)
+        legacy = Counter(rule_consequences(rule, db))
+        assert legacy, "the reference derives nothing — the case is vacuous"
+        pairs = [(literal, index) for index, literal in enumerate(rule.body)]
+        reference = _multiset(solve(plan_body(pairs), db, {}))
+        for order in ("greedy", "written"):
+            plan = compile_rule(rule, order=order, db=db).plan
+            assert Counter(plan.consequences(db)) == legacy, order
+            assert _multiset(run_plan(plan, db)) == reference, order
+
+    def test_arithmetic_error_matches_legacy_solver(self):
+        rule = parse_rule("p(K) <- q(X, J), K = X + J.")
+        db = _db(q=[("a", 1)])
+        with pytest.raises(EvaluationError) as legacy:
+            list(rule_consequences(rule, db))
+        plan = compile_rule(rule).plan
+        with pytest.raises(EvaluationError) as facts:
+            plan.consequences(db)
+        with pytest.raises(EvaluationError) as substs:
+            run_plan(plan, db)
+        assert str(facts.value) == str(substs.value) == str(legacy.value)
 
     def test_delta_restriction_matches_legacy(self):
         rule = parse_rule("p(X, Z) <- q(X, Y), q(Y, Z).")
