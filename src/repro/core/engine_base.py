@@ -19,6 +19,7 @@ reproducible.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -42,7 +43,8 @@ from repro.datalog.builtins import order_key
 from repro.datalog.plans import DEFAULT_EXTREMA, DEFAULT_ORDER, PlanCache
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.datalog.unify import Subst, ground_term, match_args
+from repro.datalog.terms import Var
+from repro.datalog.unify import Grounder, Subst, compile_ground, compile_match, ground_term
 from repro.errors import (
     BudgetExceeded,
     Cancelled,
@@ -112,6 +114,12 @@ class ChoiceMemo:
     already chosen.  This is the "memorization of the chosen predicates"
     the paper prescribes; ``diffChoice`` is implicitly checked by
     :meth:`admits`, i.e. generated on the fly.
+
+    Everything read from the rule's terms is compiled once, here: each FD
+    side's reader, the control variables' getter and the head matcher.
+    The readers are pure functions of a substitution; the FD maps are
+    read through ``self`` on every call, because :meth:`load_state`
+    replaces them.
     """
 
     def __init__(self, rule: Rule):
@@ -121,23 +129,26 @@ class ChoiceMemo:
             {} for _ in self.goals
         ]
         self._chosen: Set[Tuple[Any, ...]] = set()
-
-    def _sides(self, goal: ChoiceGoal, subst: Subst) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
-        left = tuple(ground_term(term, subst) for term in goal.left)
-        right = tuple(ground_term(term, subst) for term in goal.right)
-        return left, right
+        #: ``(left reader, right reader)`` per FD, in goal order.
+        self._fds: Tuple[Tuple[Grounder, Grounder], ...] = tuple(
+            (compile_ground(goal.left), compile_ground(goal.right))
+            for goal in self.goals
+        )
+        # The variables the goals govern, in first-occurrence order.
+        names = dict.fromkeys(
+            var.name
+            for goal in self.goals
+            for term in goal.left + goal.right
+            for var in term.variables()
+            if not var.name.startswith("_")
+        )
+        self._control = compile_ground([Var(name) for name in names])
+        self._control_set = frozenset(names)
+        self._match_head = compile_match(rule.head.args)
 
     def control_tuple(self, subst: Subst) -> Tuple[Any, ...]:
         """The ground values of every variable governed by the goals."""
-        values: List[Any] = []
-        seen: Set[str] = set()
-        for goal in self.goals:
-            for term in goal.left + goal.right:
-                for var in term.variables():
-                    if var.name not in seen and not var.name.startswith("_"):
-                        seen.add(var.name)
-                        values.append(subst[var.name])
-        return tuple(values)
+        return self._control(subst)
 
     def admits(self, subst: Subst, check_new: bool = True) -> bool:
         """Whether the candidate *subst* is FD-consistent — and, with
@@ -145,21 +156,19 @@ class ChoiceMemo:
         already chosen.  ``next`` rules pass ``check_new=False`` because
         their newness is governed by the implicit ``W -> I`` dependency
         (the engines' W-memo)."""
-        if check_new and self.control_tuple(subst) in self._chosen:
+        if check_new and self._control(subst) in self._chosen:
             return False
-        for goal, mapping in zip(self.goals, self._maps):
-            left, right = self._sides(goal, subst)
-            established = mapping.get(left)
-            if established is not None and established != right:
+        for (left, right), mapping in zip(self._fds, self._maps):
+            established = mapping.get(left(subst))
+            if established is not None and established != right(subst):
                 return False
         return True
 
     def commit(self, subst: Subst) -> None:
         """Record the FDs established by firing the candidate *subst*."""
-        self._chosen.add(self.control_tuple(subst))
-        for goal, mapping in zip(self.goals, self._maps):
-            left, right = self._sides(goal, subst)
-            mapping[left] = right
+        self._chosen.add(self._control(subst))
+        for (left, right), mapping in zip(self._fds, self._maps):
+            mapping[left(subst)] = right(subst)
 
     def absorb_head_fact(self, fact: Fact) -> bool:
         """Ingest a fact of the rule's head predicate that was produced by
@@ -173,24 +182,16 @@ class ChoiceMemo:
 
         Returns ``True`` if the fact was absorbed.
         """
-        subst = match_args(self.rule.head.args, fact, {})
-        if subst is None:
-            return False
-        needed = {
-            var.name
-            for goal in self.goals
-            for term in goal.left + goal.right
-            for var in term.variables()
-            if not var.name.startswith("_")
-        }
-        if not needed <= set(subst):
+        subst = self._match_head(fact)
+        if subst is None or not subst.keys() >= self._control_set:
             return False
         self.commit(subst)
         return True
 
     def clone(self) -> "ChoiceMemo":
-        """An independent copy (used by the model enumerator's DFS)."""
-        twin = ChoiceMemo(self.rule)
+        """An independent copy (used by the model enumerator's DFS); it
+        shares the compiled readers."""
+        twin = copy.copy(self)
         twin._maps = [dict(m) for m in self._maps]
         twin._chosen = set(self._chosen)
         return twin

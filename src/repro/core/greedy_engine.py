@@ -14,6 +14,16 @@ as Kruskal's component test), and either fires it or retires it to
 ``R_r``.  Flat rules run seminaively after every firing, and any new
 candidate facts they derive are inserted into the queue.
 
+The pop test is compiled once per plan (:class:`RQLPlan`): the candidate
+binder, the residual body plan and the head grounder, with the FD readers
+compiled once per :class:`~repro.core.engine_base.ChoiceMemo` and the
+``W`` projection once per clique state; the pop loop only runs them.
+A firing computes its ``W`` tuple once and commits its FDs once.  Feed
+order is canonical: every batch of candidates (the database's at seeding,
+a saturation round's, an :meth:`GreedyStageEngine.extend` batch's) enters
+the queue in ``repr`` order, so equal costs, which pop in insertion
+order, break the same way under every string-hash seed.
+
 Soundness note: retiring an inadmissible popped fact permanently assumes
 *monotone rejection* — once a candidate fails the admissibility test it
 fails forever.  This holds for every program in the paper (choice FDs
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.rql import CongruenceSpec, RQLStructure
 from repro.core.stage_analysis import CliqueReport
@@ -43,7 +53,13 @@ from repro.datalog.plans import (
 )
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Const, Var
-from repro.datalog.unify import Subst, ground_term, match_args
+from repro.datalog.unify import (
+    Grounder,
+    Matcher,
+    binds_only,
+    compile_ground,
+    compile_match,
+)
 from repro.errors import EvaluationError
 from repro.obs.tracer import Tracer
 from repro.storage.database import Database
@@ -53,14 +69,27 @@ __all__ = ["GreedyStageEngine", "RQLPlan"]
 Fact = Tuple[Any, ...]
 PredicateKey = Tuple[str, int]
 
+#: Inserts a batch of candidate-predicate facts into a plan's queue.
+Feed = Callable[[Iterable[Fact]], None]
+
 
 @dataclass(frozen=True)
 class RQLPlan:
     """Compiled (R, Q, L) execution plan for one ``next`` rule.
 
-    ``rest_plan`` is the residual body compiled once against the bindings
-    a popped candidate supplies (the candidate atom's variables plus the
-    stage variable) — admissibility checks re-run it, they never re-plan.
+    Everything a γ pop reads from the rule's terms is decided here, once:
+
+    * ``rest_plan`` is the residual body compiled against the bindings a
+      popped candidate supplies (the candidate atom's variables plus the
+      stage variable) — admissibility checks re-run it, they never
+      re-plan;
+    * ``bind`` matches a candidate fact against the candidate atom
+      (:func:`~repro.datalog.unify.compile_match`); ``filters`` says
+      whether it can reject a fact of the candidate predicate at all;
+    * ``head`` grounds the head from a solution.
+
+    The ``W`` projection of the head facts is the clique state's
+    (:attr:`~repro.core.stage_engine.StageCliqueState.w_keys`).
     """
 
     rule: Rule
@@ -70,6 +99,9 @@ class RQLPlan:
     spec: CongruenceSpec
     rest: Tuple[Tuple[Any, int], ...]
     rest_plan: CompiledPlan
+    bind: Matcher
+    filters: bool
+    head: Grounder
 
 
 class GreedyStageEngine(BasicStageEngine):
@@ -119,7 +151,9 @@ class GreedyStageEngine(BasicStageEngine):
         self.use_congruence = use_congruence
         self.rql_structures: Dict[PredicateKey, RQLStructure] = {}
         self.fallbacks: Dict[PredicateKey, str] = {}
-        self._resumable: List[Tuple[RQLPlan, StageCliqueState, RQLStructure]] = []
+        self._resumable: List[
+            Tuple[RQLPlan, StageCliqueState, RQLStructure, Feed]
+        ] = []
         self._db: Database | None = None
 
     def run(self, db: Database | None = None) -> Database:
@@ -157,27 +191,15 @@ class GreedyStageEngine(BasicStageEngine):
                 fact = tuple(row)
                 if db.assert_fact(name, fact):
                     seeds.setdefault((name, len(fact)), []).append(fact)
-        for plan, state, structure in self._resumable:
-            def feed(produced: Dict[PredicateKey, List[Fact]]) -> None:
-                for fact in produced.get(plan.candidate_atom.key, ()):
-                    if match_args(plan.candidate_atom.args, fact, {}) is not None:
-                        structure.insert(fact)
-
-            clique_seeds = {
-                key: list(rows)
-                for key, rows in seeds.items()
-            }
+        for plan, state, structure, feed in self._resumable:
+            clique_seeds = {key: list(rows) for key, rows in seeds.items()}
             produced = self._quiesce(
                 state, db, seeds=clique_seeds, extra_predicates=frozenset(seeds)
             )
             state.absorb(produced)
-            feed(produced)
-            for key, rows in seeds.items():
-                if key == plan.candidate_atom.key:
-                    for fact in rows:
-                        if match_args(plan.candidate_atom.args, fact, {}) is not None:
-                            structure.insert(fact)
-            self._drain(plan, state, structure, db)
+            feed(produced.get(plan.candidate_atom.key, ()))
+            feed(seeds.get(plan.candidate_atom.key, ()))
+            self._drain(plan, state, structure, db, feed)
         return db
 
     # -- plan derivation -----------------------------------------------------------
@@ -349,7 +371,16 @@ class GreedyStageEngine(BasicStageEngine):
             rest, initially_bound=base_bound, order=self.plans.order, db=db
         )
         return RQLPlan(
-            rule, stage_var, candidate_index, candidate_atom, spec, rest, rest_plan
+            rule,
+            stage_var,
+            candidate_index,
+            candidate_atom,
+            spec,
+            rest,
+            rest_plan,
+            bind=compile_match(candidate_atom.args),
+            filters=not binds_only(candidate_atom.args),
+            head=compile_ground(rule.head.args),
         )
 
     @staticmethod
@@ -423,25 +454,16 @@ class GreedyStageEngine(BasicStageEngine):
             # the re-seeding below a harmless dedup no-op, and the queue
             # comes back in tiebreak order so pop order is unchanged.
             structure.load_state(restored)
-
-        def feed(produced: Dict[PredicateKey, List[Fact]]) -> None:
-            for fact in produced.get(plan.candidate_atom.key, ()):
-                if match_args(plan.candidate_atom.args, fact, {}) is not None:
-                    structure.insert(fact)
-
-        self._resumable.append((plan, state, structure))
+        feed = self._feeder(plan, structure)
+        self._resumable.append((plan, state, structure, feed))
+        candidate_key = plan.candidate_atom.key
 
         produced = self._quiesce(state, db, seeds=None)
         state.absorb(produced)
-        feed(produced)
+        feed(produced.get(candidate_key, ()))
         # Seed with candidate facts already in the database (EDB candidates
-        # like matching's arcs, or facts loaded before this clique ran), in
-        # canonical order: heap ties pop in insertion order, and set order
-        # varies with string hashing and with how the relation was filled
-        # (a restored checkpoint re-asserts it sorted).
-        for fact in sorted(db.facts(*plan.candidate_atom.key), key=repr):
-            if match_args(plan.candidate_atom.args, fact, {}) is not None:
-                structure.insert(fact)
+        # like matching's arcs, or facts loaded before this clique ran).
+        feed(db.facts(*candidate_key))
 
         # Stage-less choice exit rules (e.g. the TSP chain seed) fire first.
         while True:
@@ -453,9 +475,26 @@ class GreedyStageEngine(BasicStageEngine):
             state.absorb({key: [fact]})
             produced = self._quiesce(state, db, seeds={key: [fact]})
             state.absorb(produced)
-            feed(produced)
+            feed(produced.get(candidate_key, ()))
 
-        self._drain(plan, state, structure, db)
+        self._drain(plan, state, structure, db, feed)
+
+    @staticmethod
+    def _feeder(plan: RQLPlan, structure: RQLStructure) -> Feed:
+        """The plan's candidate feed: inserts each batch of candidate
+        predicate facts that the candidate atom matches into the queue,
+        in ``repr`` order.  Heap ties pop in insertion order, and a batch
+        comes in set order — derivation order, or the order a relation
+        was filled in — which varies with string hashing (and a restored
+        checkpoint re-asserts the database sorted)."""
+        bind, filters, insert = plan.bind, plan.filters, structure.insert
+
+        def feed(facts: Iterable[Fact]) -> None:
+            for fact in sorted(facts, key=repr):
+                if not filters or bind(fact) is not None:
+                    insert(fact)
+
+        return feed
 
     def _drain(
         self,
@@ -463,12 +502,23 @@ class GreedyStageEngine(BasicStageEngine):
         state: StageCliqueState,
         structure: RQLStructure,
         db: Database,
+        feed: Feed,
     ) -> None:
         """Pop-γ until the queue is exhausted, saturating flat rules and
-        feeding new candidates after every firing."""
-        memo = state.memos[id(plan.rule)]
-        w_memo = state.w_memos[id(plan.rule)]
-        head_key = plan.rule.head.key
+        feeding new candidates after every firing.
+
+        A popped candidate binds the residual body, which runs at the next
+        stage; its first solution in head order whose ``W`` is new and
+        whose FDs the memo admits fires.  With none, the candidate
+        retires to ``R_r``."""
+        rule = plan.rule
+        memo = state.memos[id(rule)]
+        w_memo = state.w_memos[id(rule)]
+        head_key = rule.head.key
+        candidate_key = plan.candidate_atom.key
+        stage_var, head, w_of = plan.stage_var, plan.head, state.w_keys[id(rule)]
+        # With no residual goals the binding is the one solution.
+        rest = plan.rest_plan if plan.rest_plan.steps else None
         while True:
             # Tick first: _drain consumes no rng at all, so any stop here
             # checkpoints at a boundary a resumed run re-enters exactly.
@@ -485,62 +535,33 @@ class GreedyStageEngine(BasicStageEngine):
                 if candidate is None:
                     break
                 step.note(queue_depth=len(structure))
-                subst = self._admissible(plan, state, candidate, db)
-                if subst is None:
+                base = plan.bind(candidate)
+                base[stage_var] = state.stage + 1
+                solutions = [base] if rest is None else run_plan(rest, db, base)
+                self.stats.gamma_candidates_examined += len(solutions)
+                firings = [(head(subst), subst) for subst in solutions]
+                if len(firings) > 1:
+                    firings.sort(key=lambda firing: order_key(firing[0]))
+                for head_fact, subst in firings:
+                    w = w_of(head_fact)
+                    if w not in w_memo and memo.admits(subst, check_new=False):
+                        break
+                else:
                     structure.mark_redundant(candidate)
                     step.note(verdict="retire")
-                    self._note(
-                        "retire", plan.candidate_atom.key, candidate, state.stage
-                    )
+                    self._note("retire", candidate_key, candidate, state.stage)
                     continue
                 structure.mark_used(candidate)
                 memo.commit(subst)
-                head_fact = tuple(
-                    ground_term(arg, subst) for arg in plan.rule.head.args
-                )
-                w_memo.add(self._w_tuple(plan.rule, head_fact, state))
-                db.relation(plan.rule.head.pred, plan.rule.head.arity).add(head_fact)
+                w_memo.add(w)
+                db.relation(rule.head.pred, rule.head.arity).add(head_fact)
                 self.stats.gamma_firings += 1
                 state.stage += 1
                 self.stats.stages += 1
                 step.note(verdict="choose", stage=state.stage)
                 self._note("choose", head_key, head_fact, state.stage)
-            state.absorb({head_key: [head_fact]})
+            state.absorb({head_key: [head_fact]}, source=rule)
             produced = self._quiesce(state, db, seeds={head_key: [head_fact]})
             state.absorb(produced)
-            for fact in produced.get(plan.candidate_atom.key, ()):
-                if match_args(plan.candidate_atom.args, fact, {}) is not None:
-                    structure.insert(fact)
+            feed(produced.get(candidate_key, ()))
         structure.publish(self.stats.registry, f"rql/{head_key[0]}")
-
-    def _admissible(
-        self,
-        plan: RQLPlan,
-        state: StageCliqueState,
-        candidate: Fact,
-        db: Database,
-    ) -> Optional[Subst]:
-        """Evaluate the residual body for a popped candidate at the next
-        stage and test the choice state.  Returns the winning substitution
-        or ``None`` (the fact is then retired to ``R_r``)."""
-        base = match_args(plan.candidate_atom.args, candidate, {})
-        if base is None:  # pragma: no cover - prefiltered at insertion
-            return None
-        base[plan.stage_var] = state.stage + 1
-        solutions = run_plan(plan.rest_plan, db, base)
-        self.stats.gamma_candidates_examined += len(solutions)
-        if len(solutions) > 1:
-            solutions.sort(
-                key=lambda s: order_key(
-                    tuple(ground_term(arg, s) for arg in plan.rule.head.args)
-                )
-            )
-        memo = state.memos[id(plan.rule)]
-        w_memo = state.w_memos[id(plan.rule)]
-        for subst in solutions:
-            head_fact = tuple(ground_term(arg, subst) for arg in plan.rule.head.args)
-            if self._w_tuple(plan.rule, head_fact, state) in w_memo:
-                continue
-            if memo.admits(subst, check_new=False):
-                return subst
-        return None

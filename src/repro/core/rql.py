@@ -30,12 +30,13 @@ congruence signatures to live heap entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.datalog.builtins import order_key
 from repro.storage.heap import HeapEntry, PriorityQueue
+from repro.storage.relation import projection
 
 __all__ = ["RQLStructure", "CongruenceSpec", "RQLStats"]
 
@@ -53,15 +54,20 @@ class CongruenceSpec:
         cost_position: position of the ``least``/``most`` cost argument,
             or ``None`` for rules without an extremum (FIFO retrieval).
         maximize: ``True`` for ``most`` (retrieve the greatest cost).
+        signature: the fact's congruence signature, its projection on
+            ``signature_positions`` (built once, not a field).
     """
 
     arity: int
     signature_positions: Tuple[int, ...]
     cost_position: Optional[int] = None
     maximize: bool = False
+    signature: Callable[[Fact], Tuple[Any, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def signature(self, fact: Fact) -> Tuple[Any, ...]:
-        return tuple(fact[p] for p in self.signature_positions)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signature", projection(self.signature_positions))
 
     def priority(self, fact: Fact) -> Any:
         if self.cost_position is None:

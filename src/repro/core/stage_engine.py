@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.clique_eval import (
     body_solutions,
@@ -47,11 +47,13 @@ from repro.datalog.unify import Subst, ground_term
 from repro.errors import EvaluationError, StageAnalysisError
 from repro.obs.tracer import Tracer
 from repro.storage.database import Database
+from repro.storage.relation import projection
 
 __all__ = ["BasicStageEngine", "StageCliqueState"]
 
 Fact = Tuple[Any, ...]
 PredicateKey = Tuple[str, int]
+Projection = Callable[[Fact], Tuple[Any, ...]]
 
 
 def _is_stage_parameterized(rule: Rule, stage_positions: Dict[PredicateKey, int]) -> Optional[str]:
@@ -101,6 +103,29 @@ class StageCliqueState:
     w_memos: Dict[int, Set[Tuple[Any, ...]]]
     stage: int = 0
 
+    def __post_init__(self) -> None:
+        # Which memos absorb the facts of each head predicate, decided
+        # once: the FD memos of the choice rules with that head, and the
+        # W-memos of the next rules with that head.
+        self._fd_sinks: Dict[PredicateKey, List[Tuple[Rule, ChoiceMemo]]] = {}
+        for rule in self.next_rules + self.exit_choice_rules:
+            memo = self.memos[id(rule)]
+            if memo.goals:
+                self._fd_sinks.setdefault(rule.head.key, []).append((rule, memo))
+        #: Per ``next`` rule, the ``W`` of its head facts: the head values
+        #: minus the stage argument, whose implicit FD ``W -> I``
+        #: guarantees each tuple is selected at most once.
+        self.w_keys: Dict[int, Projection] = {}
+        self._w_sinks: Dict[PredicateKey, List[Tuple[Rule, Set[Fact], Projection]]] = {}
+        for rule in self.next_rules:
+            pos = self.report.stage_positions[rule.head.key]
+            project = self.w_keys[id(rule)] = projection(
+                [i for i in range(rule.head.arity) if i != pos]
+            )
+            self._w_sinks.setdefault(rule.head.key, []).append(
+                (rule, self.w_memos[id(rule)], project)
+            )
+
     def clone(self) -> "StageCliqueState":
         """An independent copy of the mutable choice state (rules are
         shared; memos are cloned).  Used by the model enumerator."""
@@ -115,22 +140,26 @@ class StageCliqueState:
             self.stage,
         )
 
-    def absorb(self, produced: Dict[PredicateKey, List[Fact]]) -> None:
+    def absorb(
+        self, produced: Dict[PredicateKey, List[Fact]], source: Optional[Rule] = None
+    ) -> None:
         """Feed facts of a choice rule's head predicate into its memo, so
         the functional dependencies hold over the whole predicate (exit
         facts block re-entry, sibling rules see each other's choices).
         A next rule's implicit ``W -> I`` dependency likewise covers every
-        fact of its head predicate, whichever rule produced it."""
-        for rule in self.next_rules + self.exit_choice_rules:
-            memo = self.memos[id(rule)]
-            if memo.goals:
-                for fact in produced.get(rule.head.key, ()):
-                    memo.absorb_head_fact(fact)
-        for rule in self.next_rules:
-            pos = self.report.stage_positions[rule.head.key]
-            w_memo = self.w_memos[id(rule)]
-            for fact in produced.get(rule.head.key, ()):
-                w_memo.add(tuple(v for i, v in enumerate(fact) if i != pos))
+        fact of its head predicate, whichever rule produced it.
+
+        *source* is the rule whose γ firing produced the facts, if any:
+        its own memo and W-memo recorded the firing already, so only the
+        sibling rules that share its head absorb them."""
+        for key, facts in produced.items():
+            for rule, memo in self._fd_sinks.get(key, ()):
+                if rule is not source:
+                    for fact in facts:
+                        memo.absorb_head_fact(fact)
+            for rule, w_memo, project in self._w_sinks.get(key, ()):
+                if rule is not source:
+                    w_memo.update(map(project, facts))
 
 
 class BasicStageEngine(BaseEngine):
@@ -428,8 +457,6 @@ class BasicStageEngine(BaseEngine):
         return eligible
 
     def _w_tuple(self, rule: Rule, fact: Fact, state: StageCliqueState) -> Tuple[Any, ...]:
-        """The head values minus the stage argument — the ``W`` of the
-        ``next`` expansion, whose implicit FD ``W -> I`` guarantees each
-        tuple is selected at most once."""
-        pos = state.report.stage_positions[rule.head.key]
-        return tuple(v for i, v in enumerate(fact) if i != pos)
+        """The ``W`` of a ``next`` rule's head fact (see
+        :attr:`StageCliqueState.w_keys`)."""
+        return state.w_keys[id(rule)](fact)

@@ -6,7 +6,8 @@ This subpackage is the substrate the paper's constructs are built on:
   :mod:`repro.datalog.rules` — the rule AST, including the meta-goals
   ``choice``, ``least``, ``most`` and ``next`` as first-class literals;
 * :mod:`repro.datalog.parser` — a text syntax for the dialect;
-* :mod:`repro.datalog.unify` — matching of AST terms against ground values;
+* :mod:`repro.datalog.unify` — matching of AST terms against ground values
+  and grounding, plus their compiled once-per-rule closures;
 * :mod:`repro.datalog.builtins` — evaluable comparisons and arithmetic;
 * :mod:`repro.datalog.dependency` — dependency graph, recursive cliques
   (SCCs) and the stratified-negation check;

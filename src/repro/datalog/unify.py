@@ -7,18 +7,44 @@ term under a complete substitution.
 
 A substitution is a plain ``dict`` mapping variable names to ground
 values.
+
+:func:`compile_match` and :func:`compile_ground` decide once, from the
+terms alone, what :func:`match_args` and :func:`ground_term` decide on
+every call, and return closures that run only the result: hot loops that
+match or ground one argument list many times (the greedy engine's
+candidates, heads and choice goals) build them once per rule.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from operator import itemgetter
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.datalog.terms import Const, Struct, Term, Var
 from repro.errors import EvaluationError
 
-__all__ = ["match_term", "match_args", "ground_term", "substitute_term", "Subst"]
+__all__ = [
+    "match_term",
+    "match_args",
+    "ground_term",
+    "substitute_term",
+    "compile_match",
+    "compile_ground",
+    "binds_only",
+    "Subst",
+]
 
 Subst = Dict[str, Any]
+
+#: A compiled :func:`match_args` against an empty substitution.
+Matcher = Callable[[Tuple[Any, ...]], Optional[Subst]]
+
+#: A compiled grounding of an argument list: ``subst -> tuple``.
+Grounder = Callable[[Subst], Tuple[Any, ...]]
+
+#: One position's share of a compiled match: extends the substitution
+#: being built and says whether the value matched.
+_Test = Callable[[Subst, Any], bool]
 
 
 def match_term(term: Term, value: Any, subst: Subst) -> Optional[Subst]:
@@ -102,6 +128,129 @@ def is_bound(term: Term, subst: Subst) -> bool:
     return all(
         not v.name.startswith("_") and v.name in subst for v in term.variables()
     )
+
+
+def binds_only(args: Sequence[Term]) -> bool:
+    """Whether every argument is a distinct named variable: then every
+    fact matches, binding each name to the value at its position."""
+    names = {
+        arg.name for arg in args if isinstance(arg, Var) and not arg.name.startswith("_")
+    }
+    return len(names) == len(args)
+
+
+def compile_match(args: Sequence[Term]) -> Matcher:
+    """A closure equal to ``lambda fact: match_args(args, fact, {})``:
+    a fresh substitution on a match, ``None`` otherwise.
+
+    Which occurrence of a variable binds it and which ones compare is
+    decided here, once.  When every argument is a distinct named
+    variable the closure is ``dict(zip(names, fact))``.
+    """
+    if binds_only(args):
+        names = tuple(arg.name for arg in args)
+        return lambda fact: dict(zip(names, fact))
+    bound: Set[str] = set()
+    tests = tuple(_match_test(arg, bound) for arg in args)
+
+    def match(fact: Tuple[Any, ...]) -> Optional[Subst]:
+        subst: Subst = {}
+        for test, value in zip(tests, fact):
+            if test is not None and not test(subst, value):
+                return None
+        return subst
+
+    return match
+
+
+def _match_test(term: Term, bound: Set[str]) -> Optional[_Test]:
+    """What matching *term* does, as :func:`match_term` does it: ``None``
+    for a wildcard, else a test; marks the variables it binds as bound."""
+    if isinstance(term, Var):
+        name = term.name
+        if name.startswith("_"):
+            return None
+        if name in bound:
+            return lambda subst, value: subst[name] == value
+        bound.add(name)
+
+        def bind(subst: Subst, value: Any) -> bool:
+            subst[name] = value
+            return True
+
+        return bind
+    if isinstance(term, Const):
+        constant = term.value
+        return lambda subst, value: constant == value
+    if isinstance(term, Struct):
+        first = 0 if term.is_tuple else 1
+        size = len(term.args) + first
+        functor = term.functor
+        tests = [
+            (first + i, _match_test(arg, bound)) for i, arg in enumerate(term.args)
+        ]
+        tests = [(i, test) for i, test in tests if test is not None]
+
+        def match_struct(subst: Subst, value: Any) -> bool:
+            if not isinstance(value, tuple) or len(value) != size:
+                return False
+            if first and value[0] != functor:
+                return False
+            for i, test in tests:
+                if not test(subst, value[i]):
+                    return False
+            return True
+
+        return match_struct
+    raise TypeError(f"cannot match non-term {term!r}")
+
+
+def compile_ground(args: Sequence[Term]) -> Grounder:
+    """A closure equal to ``lambda subst: tuple(ground_term(arg, subst)
+    for arg in args)``, unbound-variable error included."""
+    if all(isinstance(arg, Var) and not arg.name.startswith("_") for arg in args):
+        names = [arg.name for arg in args]
+        if not names:
+            return lambda subst: ()
+        if len(names) == 1:
+            (name,) = names
+
+            def ground_one(subst: Subst) -> Tuple[Any, ...]:
+                try:
+                    return (subst[name],)
+                except KeyError:
+                    raise EvaluationError(f"variable {name} is unbound") from None
+
+            return ground_one
+        get: Grounder = itemgetter(*names)
+    else:
+        parts = [_grounder(arg) for arg in args]
+        get = lambda subst: tuple([part(subst) for part in parts])  # noqa: E731
+
+    def ground(subst: Subst) -> Tuple[Any, ...]:
+        try:
+            return get(subst)
+        except KeyError as exc:
+            raise EvaluationError(f"variable {exc.args[0]} is unbound") from None
+
+    return ground
+
+
+def _grounder(term: Term) -> Callable[[Subst], Any]:
+    """*term*'s value under a substitution; a missing variable raises
+    ``KeyError`` (:func:`compile_ground` reports it)."""
+    if isinstance(term, Const):
+        value = term.value
+        return lambda subst: value
+    if isinstance(term, Var):
+        return itemgetter(term.name)
+    if isinstance(term, Struct):
+        parts = [_grounder(arg) for arg in term.args]
+        if term.is_tuple:
+            return lambda subst: tuple([part(subst) for part in parts])
+        functor = term.functor
+        return lambda subst: (functor, *[part(subst) for part in parts])
+    raise TypeError(f"cannot ground non-term {term!r}")
 
 
 def substitute_term(term: Term, subst: Subst) -> Term:

@@ -35,20 +35,20 @@ class HeapEntry(Generic[T]):
         priority: sort key; compared with ``<``.
         tiebreak: monotone counter so equal priorities pop in insertion
             order (makes runs reproducible).
+        key: ``(priority, tiebreak)``, built once at insert; the sifts
+            compare it.
         item: the payload.
         alive: ``False`` once the entry has been lazily deleted.
     """
 
-    __slots__ = ("priority", "tiebreak", "item", "alive")
+    __slots__ = ("priority", "tiebreak", "key", "item", "alive")
 
     def __init__(self, priority: Any, tiebreak: int, item: T):
         self.priority = priority
         self.tiebreak = tiebreak
+        self.key = (priority, tiebreak)
         self.item = item
         self.alive = True
-
-    def key(self) -> tuple[Any, int]:
-        return (self.priority, self.tiebreak)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "" if self.alive else " (dead)"
@@ -159,7 +159,7 @@ class PriorityQueue(Generic[T]):
         heap = self._heap
         for pos in range(1, len(heap)):
             parent = (pos - 1) >> 1
-            if not heap[parent].key() <= heap[pos].key():
+            if not heap[parent].key <= heap[pos].key:
                 raise AssertionError(
                     f"heap property violated at position {pos}: parent "
                     f"{heap[parent]!r} > child {heap[pos]!r}"
@@ -189,10 +189,10 @@ class PriorityQueue(Generic[T]):
     def _sift_up(self, pos: int) -> None:
         heap = self._heap
         entry = heap[pos]
-        key = entry.key()
+        key = entry.key
         while pos > 0:
             parent = (pos - 1) >> 1
-            if heap[parent].key() <= key:
+            if heap[parent].key <= key:
                 break
             heap[pos] = heap[parent]
             pos = parent
@@ -202,15 +202,18 @@ class PriorityQueue(Generic[T]):
         heap = self._heap
         size = len(heap)
         entry = heap[pos]
-        key = entry.key()
+        key = entry.key
         while True:
             child = 2 * pos + 1
             if child >= size:
                 break
+            child_key = heap[child].key
             right = child + 1
-            if right < size and heap[right].key() < heap[child].key():
-                child = right
-            if key <= heap[child].key():
+            if right < size:
+                right_key = heap[right].key
+                if right_key < child_key:
+                    child, child_key = right, right_key
+            if key <= child_key:
                 break
             heap[pos] = heap[child]
             pos = child

@@ -15,9 +15,9 @@ a ``tuple``.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "projection"]
 
 Fact = Tuple[Any, ...]
 
@@ -299,7 +299,7 @@ class Relation:
                 )
         if self.metrics is not None:
             self.metrics.inc("relation/index_builds")
-        keyer = _keyer(positions)
+        keyer = projection(positions)
         index: Dict[Tuple[Any, ...], Set[Fact]] = {}
         for fact in self._facts:
             key = keyer(fact)
@@ -313,9 +313,13 @@ class Relation:
         return index
 
 
-def _keyer(positions: Tuple[int, ...]) -> Keyer:
-    """The key extractor of the index on *positions*: ``(fact[p],)`` for
-    one position, ``itemgetter`` (which returns a tuple) for more."""
+def projection(positions: Sequence[int]) -> Keyer:
+    """The function taking a fact to the tuple of its values at
+    *positions*: ``(fact[p],)`` for one position, ``itemgetter`` (which
+    returns a tuple) for more, ``()`` for none.  Index keys, congruence
+    signatures and W tuples are all such projections."""
+    if not positions:
+        return lambda fact: ()
     if len(positions) == 1:
         (p,) = positions
         return lambda fact: (fact[p],)

@@ -12,6 +12,7 @@ state is exactly the uninterrupted run's state at the same boundary."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -122,6 +123,45 @@ def test_resume_does_not_depend_on_string_hashing():
         timeout=120,
     )
     assert child.returncode == 0, child.stderr[-2000:]
+
+
+def test_huffman_models_do_not_depend_on_string_hashing():
+    """Candidates a clique derives mid-run enter the (R, Q, L) queue in
+    ``repr`` order per batch, not in derivation (set) order: equal costs
+    pop in insertion order, so HUFFMAN's merges once followed the string
+    hash seed (instance 0 gave three models under these three seeds)."""
+    script = (
+        "import json\n"
+        "from repro.core.compiler import compile_program\n"
+        "from repro.programs import texts\n"
+        "from repro.workloads import random_frequency_table\n"
+        "models = []\n"
+        "for s in range(3):\n"
+        "    db = compile_program(texts.HUFFMAN, engine='rql').run(\n"
+        "        {'letter': random_frequency_table(8, seed=s)}, seed=0)\n"
+        "    models.append(sorted(map(repr, db.facts('h', 3))))\n"
+        "print(json.dumps(models))\n"
+    )
+    outputs = []
+    for hash_seed in ("1", "2", "4"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), ROOT]),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        outputs.append(json.loads(child.stdout))
+    for instance in range(3):
+        models = [output[instance] for output in outputs]
+        assert models[0] == models[1] == models[2], f"instance {instance}"
 
 
 class _SnapshotAndCapture:
