@@ -363,12 +363,10 @@ def evaluate_plain_clique(
     if best is not None:
         for key in specs:
             relation = db.relation(key[0], key[1])
-            for fact in list(relation):
-                accepted, displaced = best.observe(key, fact)
-                if not accepted:
-                    relation.discard(fact)
-                for old in displaced:
-                    relation.discard(old)
+            present = list(relation)
+            accepted, displaced = best.filter(key, present)
+            for fact in set(present).difference(accepted).union(displaced):
+                relation.discard(fact)
     produced = saturate(
         rules,
         clique.predicates,
@@ -453,27 +451,16 @@ def _plan(
 def _derive(
     rule: Rule, facts: List[Fact], db: Database, best: BestTable | None
 ) -> List[Fact]:
-    """Add *rule*'s head *facts* to *db*, through *best* when given;
-    returns the facts that were new."""
+    """Add *rule*'s head *facts* to *db* as one batch, through *best* when
+    given; returns the facts that were new."""
     head = rule.head
     relation = db.relation(head.pred, head.arity)
-    new_facts: List[Fact] = []
     if best is None:
-        add = relation.add
-        for fact in facts:
-            if add(fact):
-                new_facts.append(fact)
-        return new_facts
-    key = (head.pred, head.arity)
-    observe = best.observe
-    for fact in facts:
-        accepted, displaced = observe(key, fact)
-        if not accepted:
-            continue
-        for old in displaced:
-            relation.discard(old)
-        if relation.add(fact):
-            new_facts.append(fact)
+        return relation.add_batch(facts)
+    accepted, displaced = best.filter(head.key, facts)
+    new_facts = relation.add_batch(accepted)
+    for old in displaced:
+        relation.discard(old)
     return new_facts
 
 
@@ -494,8 +481,7 @@ def _live(
 
 def _as_relation(key: PredicateKey, facts: List[Fact]) -> Relation:
     relation = Relation(f"Δ{key[0]}", key[1])
-    for fact in facts:
-        relation.add(fact)
+    relation.add_batch(facts)
     return relation
 
 

@@ -154,7 +154,7 @@ def _as_database(facts: FactsInput) -> Database:
         return facts
     db = Database()
     for name, tuples in facts.items():
-        db.assert_all(name, [tuple(t) for t in tuples])
+        db.assert_all(name, map(tuple, tuples))
     return db
 
 

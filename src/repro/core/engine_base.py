@@ -473,9 +473,12 @@ class BaseEngine:
             fired = self._gamma_step(choice_rules, memos, db)
             if fired is None:
                 break
-            key, fact = fired
+            source, fact = fired
+            key = source.head.key
+            # The firing rule's memo committed the firing already; only
+            # the sibling rules that share its head absorb the fact.
             for rule in choice_rules:
-                if rule.head.key == key:
+                if rule is not source and rule.head.key == key:
                     memos[id(rule)].absorb_head_fact(fact)
             produced = saturate(
                 [r for r in flat_rules if not r.extrema_goals],
@@ -521,12 +524,12 @@ class BaseEngine:
         choice_rules: Sequence[Rule],
         memos: Dict[int, ChoiceMemo],
         db: Database,
-    ) -> Optional[Tuple[PredicateKey, Fact]]:
+    ) -> Optional[Tuple[Rule, Fact]]:
         """One application of the one-consequence operator γ: compute the
         eligible candidates of every choice rule, pick one arbitrarily
         (via the engine rng), fire it, and memoize its FDs.
 
-        Returns ``(head predicate, fact)`` or ``None`` when γ is empty.
+        Returns ``(fired rule, head fact)`` or ``None`` when γ is empty.
         """
         if self._fault_hook is not None:
             self._fault_hook("engine.gamma")
@@ -548,7 +551,7 @@ class BaseEngine:
                     eligible=len(eligible),
                 )
                 self._note("choose", rule.head.key, fact)
-                return rule.head.key, fact
+                return rule, fact
         return None
 
 

@@ -13,8 +13,8 @@ This module holds the runtime half of that optimisation:
 * :class:`PremapSpec` — the per-predicate shape a premappable clique
   settles on (which head position carries the cost, which positions form
   the group, and the direction of the extremum);
-* :class:`BestTable` — the per-group current-best table consulted on every
-  insert during pushdown evaluation.  Ties are kept (matching
+* :class:`BestTable` — the per-group current-best table every batch of
+  inserts passes during pushdown evaluation.  Ties are kept (matching
   :func:`~repro.core.clique_eval.extrema_filter`): a fact whose cost
   equals the group's best survives alongside it.
 
@@ -24,10 +24,13 @@ The static half — deciding whether a clique *is* premappable — lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+import operator
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.datalog.builtins import order_key
+from repro.storage.relation import Keyer, projection
 
 __all__ = ["PremapSpec", "BestTable", "dominated_facts"]
 
@@ -45,22 +48,28 @@ class PremapSpec:
         group_positions: head argument positions forming the group key
             (every other position is the cost or a per-rule constant).
         direction: ``"least"`` (minimise) or ``"most"`` (maximise).
+        group_of: a fact's group key (its values at *group_positions*),
+            built once from them.
+        cost_of: a fact's cost value (its value at *cost_position*).
+        better: whether (order-keyed) cost *a* strictly beats *b*:
+            ``<`` for least, ``>`` for most.
     """
 
     predicate: PredicateKey
     cost_position: int
     group_positions: Tuple[int, ...]
     direction: str
+    group_of: Keyer = field(init=False, repr=False, compare=False)
+    cost_of: Callable[[Fact], Any] = field(init=False, repr=False, compare=False)
+    better: Callable[[Any, Any], bool] = field(init=False, repr=False, compare=False)
 
-    def group_of(self, fact: Fact) -> Tuple[Any, ...]:
-        return tuple(fact[p] for p in self.group_positions)
-
-    def cost_of(self, fact: Fact) -> Any:
-        return fact[self.cost_position]
-
-    def better(self, a: Any, b: Any) -> bool:
-        """Whether (order-keyed) cost *a* strictly beats *b*."""
-        return a < b if self.direction == "least" else a > b
+    def __post_init__(self) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "group_of", projection(self.group_positions))
+        setattr_(self, "cost_of", itemgetter(self.cost_position))
+        setattr_(
+            self, "better", operator.lt if self.direction == "least" else operator.gt
+        )
 
 
 class BestTable:
@@ -68,12 +77,13 @@ class BestTable:
 
     For each predicate covered by a :class:`PremapSpec`, the table maps
     each group key to the best cost seen so far and the set of facts
-    attaining it (ties are kept).  :meth:`observe` implements the pushdown
-    insert discipline: a dominated new fact is rejected, a dominating new
-    fact displaces the group's previous holders (which the caller retracts
-    from the database and any pending deltas).
+    attaining it (ties are kept).  :meth:`filter` implements the pushdown
+    insert discipline on a batch: a dominated new fact is rejected, a
+    dominating new fact displaces the group's previous holders (which the
+    caller retracts from the database and any pending deltas).
+    :meth:`observe` is its one-fact case.
 
-    ``pruned`` counts the facts :meth:`observe` has ruled out: rejected
+    ``pruned`` counts the facts the table has ruled out: rejected
     observations plus displaced holders.
     """
 
@@ -85,32 +95,55 @@ class BestTable:
             key: {} for key in specs
         }
 
+    def filter(
+        self, predicate: PredicateKey, facts: Iterable[Fact]
+    ) -> Tuple[List[Fact], List[Fact]]:
+        """Record *facts*, in order, against their groups' current best.
+
+        Returns ``(accepted, displaced)``: *accepted* lists, in order, the
+        facts that were not strictly dominated when read (ties kept), and
+        *displaced* the holders a later fact strictly dominated — a fact
+        accepted earlier in the batch included.  The caller inserts
+        *accepted* and then retracts *displaced*: a group's best only
+        improves, so no displaced fact is accepted again, and this leaves
+        a relation as observing, inserting and retracting fact by fact
+        would.
+        """
+        spec = self.specs[predicate]
+        groups = self._groups[predicate]
+        group_of, cost_of, better = spec.group_of, spec.cost_of, spec.better
+        accepted: List[Fact] = []
+        displaced: List[Fact] = []
+        pruned = 0
+        for fact in facts:
+            group = group_of(fact)
+            cost = order_key(cost_of(fact))
+            entry = groups.get(group)
+            if entry is None:
+                groups[group] = [cost, {fact}]
+            elif cost == entry[0]:
+                entry[1].add(fact)
+            elif better(cost, entry[0]):
+                holders = entry[1]
+                displaced.extend(holders)
+                pruned += len(holders)
+                groups[group] = [cost, {fact}]
+            else:
+                pruned += 1
+                continue
+            accepted.append(fact)
+        self.pruned += pruned
+        return accepted, displaced
+
     def observe(self, predicate: PredicateKey, fact: Fact) -> Tuple[bool, List[Fact]]:
-        """Record *fact* against its group's current best.
+        """Record one *fact*: :meth:`filter` on a batch of one.
 
         Returns ``(accepted, displaced)``: *accepted* is ``False`` when the
         fact is strictly dominated (drop it); *displaced* lists the facts
         the insert strictly dominated (retract them).
         """
-        spec = self.specs[predicate]
-        groups = self._groups[predicate]
-        group = spec.group_of(fact)
-        cost = order_key(spec.cost_of(fact))
-        entry = groups.get(group)
-        if entry is None:
-            groups[group] = [cost, {fact}]
-            return True, []
-        best, holders = entry
-        if cost == best:
-            holders.add(fact)
-            return True, []
-        if spec.better(cost, best):
-            displaced = list(holders)
-            groups[group] = [cost, {fact}]
-            self.pruned += len(displaced)
-            return True, displaced
-        self.pruned += 1
-        return False, []
+        accepted, displaced = self.filter(predicate, (fact,))
+        return bool(accepted), displaced
 
     def best_cost(self, predicate: PredicateKey, group: Tuple[Any, ...]) -> Any:
         """The current best order-key for *group*, or ``None``."""
@@ -123,21 +156,13 @@ def dominated_facts(facts: Iterable[Fact], spec: PremapSpec) -> List[Fact]:
 
     This is the "post" half of the policy equivalence: retracting exactly
     these facts after full saturation yields the same relation pushdown
-    maintains incrementally.
+    maintains incrementally.  A fact attains its group's best exactly
+    when a :class:`BestTable` fed every fact accepts it and never
+    displaces it.
     """
     materialised = list(facts)
-    bests: Dict[Tuple[Any, ...], Any] = {}
-    for fact in materialised:
-        group = spec.group_of(fact)
-        cost = order_key(spec.cost_of(fact))
-        best = bests.get(group, _MISSING)
-        if best is _MISSING or spec.better(cost, best):
-            bests[group] = cost
-    return [
-        fact
-        for fact in materialised
-        if order_key(spec.cost_of(fact)) != bests[spec.group_of(fact)]
-    ]
-
-
-_MISSING = object()
+    accepted, displaced = BestTable({spec.predicate: spec}).filter(
+        spec.predicate, materialised
+    )
+    best = set(accepted).difference(displaced)
+    return [fact for fact in materialised if fact not in best]

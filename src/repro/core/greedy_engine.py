@@ -471,8 +471,9 @@ class GreedyStageEngine(BasicStageEngine):
             fired = self._fire_exit_choice(state, db)
             if fired is None:
                 break
-            key, fact = fired
-            state.absorb({key: [fact]})
+            source, fact = fired
+            key = source.head.key
+            state.absorb({key: [fact]}, source=source)
             produced = self._quiesce(state, db, seeds={key: [fact]})
             state.absorb(produced)
             feed(produced.get(candidate_key, ()))

@@ -292,8 +292,9 @@ class BasicStageEngine(BaseEngine):
             fired = self._fire_exit_choice(state, db) or self._fire_next(state, db)
             if fired is None:
                 break
-            key, fact = fired
-            state.absorb({key: [fact]})
+            source, fact = fired
+            key = source.head.key
+            state.absorb({key: [fact]}, source=source)
             state.absorb(self._quiesce(state, db, seeds={key: [fact]}))
 
     def _quiesce(
@@ -356,9 +357,10 @@ class BasicStageEngine(BaseEngine):
 
     def _fire_exit_choice(
         self, state: StageCliqueState, db: Database
-    ) -> Optional[Tuple[PredicateKey, Fact]]:
+    ) -> Optional[Tuple[Rule, Fact]]:
         """Fire one stage-less choice rule of the clique (e.g. the TSP
-        chain's exit rule selecting the globally cheapest arc)."""
+        chain's exit rule selecting the globally cheapest arc); returns
+        ``(fired rule, head fact)`` or ``None``."""
         if not state.exit_choice_rules:
             return None
         if self._fault_hook is not None:
@@ -383,16 +385,17 @@ class BasicStageEngine(BaseEngine):
                 pos = state.report.stage_positions.get(rule.head.key)
                 if pos is not None and isinstance(fact[pos], int):
                     state.stage = max(state.stage, fact[pos])
-                return rule.head.key, fact
+                return rule, fact
         return None
 
     def _fire_next(
         self, state: StageCliqueState, db: Database
-    ) -> Optional[Tuple[PredicateKey, Fact]]:
+    ) -> Optional[Tuple[Rule, Fact]]:
         """Fire one instance of a ``next`` rule at stage ``state.stage+1``:
         evaluate the body with the stage variable pre-bound, filter by the
         memoized choice state, apply ``least``/``most`` to the survivors,
-        and draw one of the minimal candidates."""
+        and draw one of the minimal candidates.  Returns ``(fired rule,
+        head fact)`` or ``None``."""
         if self._fault_hook is not None:
             self._fault_hook("engine.gamma")
         if self.max_stages is not None and state.stage >= self.max_stages:
@@ -423,7 +426,7 @@ class BasicStageEngine(BaseEngine):
                     eligible=len(eligible),
                 )
                 self._note("choose", rule.head.key, fact, state.stage)
-                return rule.head.key, fact
+                return rule, fact
         return None
 
     def _next_candidates(

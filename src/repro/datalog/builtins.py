@@ -80,6 +80,13 @@ def order_key(value: Any):
     Numbers sort before strings, which sort before tuples; ``None`` sorts
     first.  Tuples compare element-wise by the same order.
     """
+    # Exact types first: the common values skip the isinstance chain (a
+    # bool, or any other subclass, takes the chain below).
+    kind = type(value)
+    if kind is int or kind is float:
+        return (1, value)
+    if kind is str:
+        return (2, value)
     if value is None:
         return (0, 0)
     if isinstance(value, bool):
@@ -89,7 +96,7 @@ def order_key(value: Any):
     if isinstance(value, str):
         return (2, value)
     if isinstance(value, tuple):
-        return (3, tuple(order_key(v) for v in value))
+        return (3, tuple(map(order_key, value)))
     return (4, repr(value))
 
 

@@ -429,8 +429,7 @@ def apply_extrema(
 
     def seed_table() -> None:
         for key in predicates:
-            for fact in db.relation(key[0], key[1]):
-                best.observe(key, fact)
+            best.filter(key, db.relation(key[0], key[1]))
 
     seed_table()
 

@@ -280,7 +280,7 @@ def restore(
     )
     db = Database()
     for (name, _arity), rows in cp.facts.items():
-        db.assert_all(name, [tuple(row) for row in rows])
+        db.assert_all(name, map(tuple, rows))
     if hasattr(instance, "resume_clique_index"):
         instance.resume_clique_index = cp.clique_index
         instance._restore_memos = {int(i): s for i, s in cp.memos.items()}

@@ -199,6 +199,6 @@ class _Enumerator:
             pos = state.report.stage_positions.get(rule.head.key)
             if pos is not None and isinstance(fact[pos], int):
                 state.stage = max(state.stage, fact[pos])
-        state.absorb({rule.head.key: [fact]})
+        state.absorb({rule.head.key: [fact]}, source=rule)
         produced = self.engine._quiesce(state, db, seeds={rule.head.key: [fact]})
         state.absorb(produced)

@@ -487,7 +487,7 @@ class QueryService:
                     cp, compiled.program, governor=governor, tracer=tracer
                 )
                 for name, rows in request.facts.items():
-                    db.assert_all(name, [tuple(row) for row in rows])
+                    db.assert_all(name, map(tuple, rows))
             else:
                 compiled = compile_program(request.program, engine=request.engine)
                 rng = (

@@ -182,7 +182,7 @@ def _decode_database(rows: List[List[Any]]) -> Database:
 
     db = Database()
     for name, _arity, encoded in rows:
-        db.assert_all(name, [tuple(fact) for fact in decode_value(encoded)])
+        db.assert_all(name, map(tuple, decode_value(encoded)))
     return db
 
 

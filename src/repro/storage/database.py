@@ -8,6 +8,7 @@ paper's ``takes/2`` and ``takes/3`` variants can coexist.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.storage.relation import Relation
@@ -62,12 +63,16 @@ class Database:
         return self.relation(name, len(fact)).add(fact)
 
     def assert_all(self, name: str, facts: Iterable[Fact]) -> int:
-        """Insert many facts under one predicate; return how many were new."""
-        count = 0
-        for fact in facts:
-            if self.assert_fact(name, fact):
-                count += 1
-        return count
+        """Insert many facts under one predicate; return how many were new.
+
+        Each run of consecutive facts of one arity goes to its relation
+        in one :meth:`Relation.add_batch` call — a batch of one arity in
+        one call — so a raise partway leaves the database as a loop of
+        :meth:`assert_fact` would."""
+        return sum(
+            len(self.relation(name, arity).add_batch(run))
+            for arity, run in groupby(facts, key=len)
+        )
 
     def facts(self, name: str, arity: int) -> Iterable[Fact]:
         """All facts of ``name/arity`` (empty if the predicate is unknown)."""

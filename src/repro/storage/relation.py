@@ -95,10 +95,7 @@ class Relation:
         if self._fault_hook is not None:
             self._fault_hook("relation.add")
         if len(fact) != self.arity:
-            raise ValueError(
-                f"arity mismatch for {self.name}: expected {self.arity}, "
-                f"got {len(fact)}-tuple {fact!r}"
-            )
+            raise self._arity_error(fact)
         if fact in self._facts:
             return False
         self._facts.add(fact)
@@ -111,9 +108,53 @@ class Relation:
                 bucket.add(fact)
         return True
 
+    def add_batch(self, facts: Iterable[Fact]) -> List[Fact]:
+        """Insert every fact in *facts*; return the new ones, deduplicated,
+        in first-seen order.
+
+        The set-at-a-time form of :meth:`add`, with its per-fact contract:
+        each fact visits the fault hook, has its arity checked and, when
+        new, enters the set and every existing index before the next fact
+        is read.  A raise partway through therefore leaves the relation
+        exactly as a loop of :meth:`add` would: the facts before the
+        failing one are in, indexed.
+
+        Raises:
+            ValueError: if a fact has the wrong arity.
+        """
+        hook = self._fault_hook
+        arity = self.arity
+        present = self._facts
+        keyed = self._keyed
+        new: List[Fact] = []
+        for fact in facts:
+            if hook is not None:
+                hook("relation.add")
+            if len(fact) != arity:
+                raise self._arity_error(fact)
+            if fact in present:
+                continue
+            present.add(fact)
+            new.append(fact)
+            if keyed:
+                for keyer, index in keyed:
+                    key = keyer(fact)
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = {fact}
+                    else:
+                        bucket.add(fact)
+        return new
+
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert every fact in *facts*; return how many were new."""
-        return sum(1 for fact in facts if self.add(fact))
+        return len(self.add_batch(facts))
+
+    def _arity_error(self, fact: Fact) -> ValueError:
+        return ValueError(
+            f"arity mismatch for {self.name}: expected {self.arity}, "
+            f"got {len(fact)}-tuple {fact!r}"
+        )
 
     def discard(self, fact: Fact) -> bool:
         """Remove *fact* if present; return ``True`` iff it was present."""

@@ -15,10 +15,17 @@ import random
 
 import pytest
 
+from repro.core.choice_fixpoint import ChoiceFixpointEngine
 from repro.core.engine_base import ChoiceMemo
+from repro.core.greedy_engine import GreedyStageEngine
+from repro.core.stage_engine import BasicStageEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.unify import ground_term, match_args
 from repro.programs import texts
+from repro.programs._run import symmetric_edges
+from repro.semantics import choice_models
+from repro.storage.database import Database
+from repro.workloads import complete_graph, random_takes
 
 
 class ReferenceMemo:
@@ -199,3 +206,65 @@ def test_a_commit_on_one_copy_never_shows_in_another():
     loaded.commit(rival)
     assert memo.admits(entering, check_new=False)
     assert memo.chosen_count == 1
+
+
+# -- one commit per firing ------------------------------------------------------
+
+
+@pytest.fixture
+def commits(monkeypatch):
+    """Records ``(memo, control tuple)`` for every ``ChoiceMemo.commit``."""
+    calls = []
+    commit = ChoiceMemo.commit
+
+    def counting(memo, subst):
+        calls.append((id(memo), memo.control_tuple(subst)))
+        commit(memo, subst)
+
+    monkeypatch.setattr(ChoiceMemo, "commit", counting)
+    return calls
+
+
+def _run(engine_class, text, facts):
+    engine = engine_class(parse_program(text), rng=random.Random(5))
+    db = Database()
+    for name, rows in facts.items():
+        db.assert_all(name, rows)
+    engine.run(db)
+    return engine
+
+
+def test_a_choice_firing_commits_its_fds_once(commits):
+    # The solve_suite shape of Example 1: 40 students, 40 courses, 4 each.
+    takes = sorted({(s, c) for s, c, _ in random_takes(40, 40, 4, seed=5000)})
+    engine = _run(ChoiceFixpointEngine, texts.EXAMPLE1_ASSIGNMENT, {"takes": takes})
+    assert engine.stats.gamma_firings > 1
+    assert len(commits) == engine.stats.gamma_firings
+
+
+@pytest.mark.parametrize("engine_class", [BasicStageEngine, GreedyStageEngine])
+def test_a_stage_firing_commits_its_fds_once(commits, engine_class):
+    # TSP_GREEDY fires its stage-less exit choice rule, then next rules.
+    # The exit fact also reaches the sibling next rule's memo, so the
+    # check is that no memo commits one control tuple twice.
+    _, edges = complete_graph(7, seed=5)
+    engine = _run(engine_class, texts.TSP_GREEDY, {"g": symmetric_edges(edges)})
+    assert engine.stats.gamma_firings == 6  # n - 1 arcs
+    assert len(commits) == len(set(commits)) == engine.stats.gamma_firings + 1
+
+
+def test_an_enumerator_firing_commits_its_fds_once(commits, monkeypatch):
+    fired = []
+    fire = choice_models._Enumerator._fire
+
+    def counting(self, rule, subst, state, db):
+        fired.append(rule)
+        fire(self, rule, subst, state, db)
+
+    monkeypatch.setattr(choice_models._Enumerator, "_fire", counting)
+    takes = [("andy", "engl"), ("mark", "engl"), ("mark", "math"), ("ann", "math")]
+    models = choice_models.enumerate_choice_models(
+        texts.EXAMPLE1_ASSIGNMENT, {"takes": takes}
+    )
+    assert len(models) > 1
+    assert len(commits) == len(fired)

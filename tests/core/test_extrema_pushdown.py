@@ -11,7 +11,10 @@ can be pruned the moment a better one appears.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import clique_eval
 from repro.core.compiler import ENGINES, solve_program
 from repro.core.extrema_lattice import BestTable, PremapSpec, dominated_facts
 from repro.core.rewriting import premappable_extrema
@@ -20,12 +23,14 @@ from repro.datalog.plans import EXTREMA_POLICIES
 from repro.datalog.seminaive import SeminaiveEngine
 from repro.errors import EvaluationError, StratificationError
 from repro.obs.tracer import Tracer
+from repro.datalog.builtins import order_key
 from repro.programs import (
     bottleneck_distances,
     shortest_distances,
     texts,
     widest_capacities,
 )
+from repro.storage.database import Database
 
 
 def _clique_of(source):
@@ -167,6 +172,108 @@ class TestBestTable:
     def test_dominated_facts_matches_table(self):
         facts = [("a", 5), ("a", 3), ("a", 3), ("b", 2)]
         assert dominated_facts(facts, self.SPEC) == [("a", 5)]
+
+    def test_spec_getters_project_the_fact(self):
+        spec = PremapSpec(("p", 4), cost_position=2, group_positions=(0, 3),
+                          direction="most")
+        fact = ("x", "ignored", 7, "y")
+        assert spec.group_of(fact) == ("x", "y")
+        assert spec.cost_of(fact) == 7
+        assert spec.better(8, 7) and not spec.better(7, 7)
+        assert spec == PremapSpec(("p", 4), 2, (0, 3), "most")
+        assert hash(spec) == hash(PremapSpec(("p", 4), 2, (0, 3), "most"))
+
+
+# -- the batch filter against one observe per fact --------------------------------
+
+D = ("d", 2)
+RULE = parse_program("d(X, C) <- e(X, C).").rules[0]
+
+
+def _spec(direction):
+    return PremapSpec(D, cost_position=1, group_positions=(0,), direction=direction)
+
+
+def _sequential_derive(facts, relation, best):
+    """The reference protocol, one fact at a time: observe, retract what
+    the fact displaced, insert it."""
+    new_facts = []
+    for fact in facts:
+        accepted, displaced = best.observe(D, fact)
+        if not accepted:
+            continue
+        for old in displaced:
+            relation.discard(old)
+        if relation.add(fact):
+            new_facts.append(fact)
+    return new_facts
+
+
+def _seeded(direction, present):
+    """A database holding *present* and a table agreeing with it."""
+    db, best = Database(), BestTable({D: _spec(direction)})
+    _sequential_derive(present, db.relation(*D), best)
+    return db, best
+
+
+def _check_batches(direction, present, batches):
+    ref_db, ref_best = _seeded(direction, present)
+    db, best = _seeded(direction, present)
+    for batch in batches:
+        expected = _sequential_derive(batch, ref_db.relation(*D), ref_best)
+        assert clique_eval._derive(RULE, batch, db, best) == expected
+        assert set(db.relation(*D)) == set(ref_db.relation(*D))
+        assert best.pruned == ref_best.pruned
+    assert db.check_invariants()
+
+
+costed = st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 4)), max_size=12)
+
+
+@pytest.mark.parametrize("direction", ["least", "most"])
+@given(present=costed, batches=st.lists(costed, max_size=4))
+def test_batch_filter_equals_sequential_observe(direction, present, batches):
+    """Same new facts (and order), relation contents and ``pruned``, with
+    ties frequent: five costs per group."""
+    _check_batches(direction, present, batches)
+
+
+@pytest.mark.parametrize("direction", ["least", "most"])
+def test_a_fact_accepted_then_displaced_within_one_batch(direction):
+    worse, better = (5, 3) if direction == "least" else (3, 5)
+    db, best = _seeded(direction, [])
+    batch = [("a", worse), ("a", better), ("a", worse)]
+    assert clique_eval._derive(RULE, batch, db, best) == [("a", worse), ("a", better)]
+    assert set(db.relation(*D)) == {("a", better)}
+    assert best.pruned == 2
+    _check_batches(direction, [], [batch])
+
+
+@pytest.mark.parametrize("direction", ["least", "most"])
+def test_a_present_fact_rederived_as_a_tie_then_displaced(direction):
+    worse, better = (3, 2) if direction == "least" else (2, 3)
+    db, best = _seeded(direction, [("a", worse)])
+    batch = [("a", worse), ("a", better)]
+    assert clique_eval._derive(RULE, batch, db, best) == [("a", better)]
+    assert set(db.relation(*D)) == {("a", better)}
+    assert best.pruned == 1
+    _check_batches(direction, [("a", worse)], [batch])
+
+
+def _dominated_reference(facts, spec):
+    bests = {}
+    for fact in facts:
+        group, cost = spec.group_of(fact), order_key(spec.cost_of(fact))
+        if group not in bests or spec.better(cost, bests[group]):
+            bests[group] = cost
+    return [f for f in facts if order_key(spec.cost_of(f)) != bests[spec.group_of(f)]]
+
+
+@pytest.mark.parametrize("direction", ["least", "most"])
+@given(facts=costed)
+def test_dominated_facts_keeps_exactly_each_groups_best(direction, facts):
+    spec = _spec(direction)
+    assert dominated_facts(facts, spec) == _dominated_reference(facts, spec)
 
 
 class TestPolicyEquivalence:

@@ -116,6 +116,60 @@ class TestTotalOrder:
             assert NATIVE_COMPARISONS[op](a, b) == expected, op
 
 
+def _reference_order_key(value):
+    """``order_key`` as an ``isinstance`` chain only, the definition the
+    exact-type fast path must agree with."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (1, value)
+    if isinstance(value, str):
+        return (2, value)
+    if isinstance(value, tuple):
+        return (3, tuple(_reference_order_key(v) for v in value))
+    return (4, repr(value))
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Other:
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f"_Other({self.tag!r})"
+
+
+ground_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.text(max_size=4),
+        st.builds(_Int, st.integers(-5, 5)),
+        st.builds(_Str, st.text(max_size=2)),
+        st.builds(_Other, st.integers(0, 3)),
+        st.frozensets(st.integers(0, 3), max_size=2),
+    ),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@given(ground_values)
+def test_order_key_equals_the_isinstance_definition(value):
+    assert order_key(value) == _reference_order_key(value)
+
+
 class TestEvalComparison:
     def test_plain_comparison(self):
         comp = Comparison("<", Var("X"), Var("Y"))

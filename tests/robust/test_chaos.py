@@ -130,6 +130,54 @@ def test_engine_visits_its_fault_sites(engine):
     assert {site for site in SITES if injector.hits.get(site)} == VISITED_SITES[engine]
 
 
+#: ``relation.add`` visits of one run of SHORTEST_PATH per engine, EDB
+#: load included: one visit per fact handed to an insert, whether it goes
+#: in alone or in a batch.  Integer nodes keep set order, and so the
+#: pushdown's pruning, independent of the string hash seed.
+ADD_VISITS = {"rql": 254, "basic": 254, "choice": 254, "naive": 311, "seminaive": 254}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_seeded_run_visits_relation_add_once_per_fact(engine):
+    from repro.core.compiler import _as_database, _make_engine
+    from repro.programs import texts
+    from repro.workloads import random_connected_graph
+    import random
+
+    _, edges = random_connected_graph(30, 40, seed=3)
+    arcs = sorted(
+        {(int(u[1:]), int(v[1:]), c) for u, v, c in edges}
+        | {(int(v[1:]), int(u[1:]), c) for u, v, c in edges}
+    )
+    compiled = compile_program(texts.SHORTEST_PATH, engine=engine)
+    injector = FaultInjector()
+    with inject(injector):
+        db = _as_database({"g": arcs, "source": [(0,)]})
+        _make_engine(engine, compiled.program, random.Random(0)).run(db)
+    assert injector.hits["relation.add"] == ADD_VISITS[engine]
+    assert len(db.facts("dist", 2)) == 30
+
+
+@pytest.mark.parametrize("nth", [1, 17, 40])
+def test_a_fault_partway_through_a_bulk_load_keeps_invariants(nth):
+    """An EDB loader's batch stops at the faulted fact: the facts before
+    it are in, indexed, and nothing after it is."""
+    from repro.core.compiler import _as_database
+
+    rows = [(f"n{i % 7}", f"n{i}", i) for i in range(40)]
+    db = _as_database({"g": rows[:5]})
+    db.relation("g", 3).ensure_index((0,))
+    injector = FaultInjector([FaultPlan("relation.add", "error", nth=nth)])
+    with pytest.raises(FaultInjected):
+        with inject(injector):
+            db.assert_all("g", rows)
+    assert db.check_invariants()
+    assert set(db.facts("g", 3)) == set(rows[: max(nth - 1, 5)])
+    assert set(db.relation("g", 3).lookup((0,), ("n1",))) == {
+        row for row in rows[: max(nth - 1, 5)] if row[0] == "n1"
+    }
+
+
 class TestInjectorMechanics:
     def test_seeded_plans_are_reproducible(self):
         a = FaultInjector.seeded(seed=3, site="relation.add")
