@@ -1,9 +1,9 @@
-"""Benchmark harness utilities: timing sweeps, log–log slope fitting,
-paper-style reporting, and the plan-cache perf-regression harness
-(``python -m repro.bench.regression``)."""
+"""Benchmark harness utilities: timing sweeps, log–log slope fitting and
+paper-style reporting.  The perf-regression harness lives in
+:mod:`repro.bench.regression` (``python -m repro.bench.regression``) and
+is not imported here, so importing this package does not load it."""
 
 from repro.bench.runner import SweepPoint, SweepResult, fitted_exponent, sweep
-from repro.bench.regression import run_regression
 from repro.bench.reporting import format_table
 
 __all__ = [
@@ -11,6 +11,5 @@ __all__ = [
     "SweepResult",
     "fitted_exponent",
     "format_table",
-    "run_regression",
     "sweep",
 ]

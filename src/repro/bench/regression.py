@@ -1,28 +1,32 @@
-"""Perf-regression harness for the plan-cache layer.
+"""Perf-regression harness: the ablation sweeps behind ``BENCH_plans.json``
+and the CI gate that re-checks them.
 
-Runs the seminaive E7 transitive-closure sweep twice — with cached plans
-(compile once per ``(rule, delta occurrence)``) and with per-call
-planning (the pre-cache behaviour, ``cache_plans=False``) — plus a
-greedy-engine sweep on the sorting program, and records the timings to
-``BENCH_plans.json`` at the repository root.  The checked-in file is the
-before/after evidence for the plan-cache optimisation; re-run after
-touching the planner or the executor and compare::
+:data:`SWEEPS` is the one list of sweeps and of their gates.  Each
+:class:`Sweep` measures one ablation — the plan cache, the greedy
+engine's shape, the execution governor, the in-process service,
+durability, join order, extrema pushdown, incremental maintenance,
+sharded scaling and hot-standby replication — as one block of the
+report, and names the statistic of that block that ``--check`` gates,
+the kind of gate and its bound.  Re-run after touching the planner, the
+executor or a serving layer::
 
-    PYTHONPATH=src python -m repro.bench.regression
+    PYTHONPATH=src python -m repro.bench.regression           # rewrite BENCH_plans.json
+    PYTHONPATH=src python -m repro.bench.regression --check   # gate against it
 
-``--check`` turns the harness into a CI gate: instead of writing a new
-baseline it re-measures and compares the plan-cache sweep's *speedup
-ratios* (machine-independent, unlike raw seconds) against the committed
-baseline, failing when the mean speedup has regressed by more than
-``--tolerance`` (default 25%)::
+Every gated statistic is a ratio of two timings taken on the same box
+(cached vs per-call plans, governed vs ungoverned, ...), which cancels
+the machine's constant factor.  A gate is an absolute floor or ceiling
+on that ratio, or — for the plan-cache sweep — a fraction of the
+baseline's value.  A block recorded as ``skipped`` (a cross-process
+sweep on a box with too few cores) is not gated; a block that is not
+skipped but lacks its statistic raises.
 
-    PYTHONPATH=src python -m repro.bench.regression --check --tolerance 0.25
-
-The JSON shape is stable: ``sweeps`` maps a sweep name to per-size rows
-(``size``, ``before_s``, ``after_s``, ``speedup``) plus counter
-snapshots; each sweep also records a ``metrics`` block — the
+The JSON shape is stable: ``sweeps`` maps each sweep's name to its
+block — a ``description``, per-size ``rows`` (one batch's timings for
+the two cross-process sweeps) and the sweep's summary statistics; the
+TC and sorting blocks also record a ``metrics`` block, the
 :mod:`repro.obs` registry snapshot (per-phase wall time and engine/
-storage counters) of one traced run at the largest size — and ``meta``
+storage counters) of one traced run at the largest size.  ``meta``
 records the interpreter so numbers from different machines are not
 compared blindly.
 """
@@ -30,13 +34,18 @@ compared blindly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import platform
 import sys
+import tempfile
+import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.runner import EmptySweepError, paired_sweep, sweep
+from repro.bench.runner import EmptySweepError, SweepResult, paired_sweep, sweep
 from repro.core.compiler import compile_program, solve_program
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SeminaiveEngine
@@ -46,61 +55,257 @@ from repro.programs import texts
 from repro.storage.database import Database
 from repro.workloads import random_costed_relation
 
-__all__ = ["run_regression", "check_against_baseline", "main"]
+__all__ = ["SWEEPS", "Sweep", "run_regression", "check_against_baseline", "main"]
 
-TC = parse_program(
-    """
-    path(X, Y) <- edge(X, Y).
-    path(X, Y) <- path(X, Z), edge(Z, Y).
-    """
-)
+#: Gate kinds: an absolute floor or ceiling on the statistic, or a floor
+#: at ``bound`` × the baseline's value of it.
+FLOOR, CEILING, BASELINE = "floor", "ceiling", "baseline"
 
-TC_SIZES = [20, 40, 80, 160]
-SORT_SIZES = [8, 16, 32]
-GOVERNOR_SIZES = [32, 64, 128, 256]
-SERVICE_SIZES = [32, 64, 128, 256]
-#: CI gate: mean governed/ungoverned wall-time ratio must stay below this.
-GOVERNOR_OVERHEAD_CEILING = 1.05
-#: CI gate: serving a request in-process (admission queue + worker thread
-#: + per-request governor/metrics) must cost < 10% over the direct call.
-SERVICE_OVERHEAD_CEILING = 1.10
-DURABLE_SIZES = [32, 64, 128, 256]
-#: CI gate: a governed run with a DurableWriter attached at the default
-#: (time-based) cadence must cost < 5% over the same governed run bare.
-DURABLE_OVERHEAD_CEILING = 1.05
-JOIN_SIZES = [64, 128, 256]
-#: CI gate: the greedy join order must never lose to the written order on
-#: the multi-join sweep (mean written_s / greedy_s across sizes ≥ 1.0).
-JOIN_ORDER_SPEEDUP_FLOOR = 1.0
-EXTREMA_SIZES = [24, 48, 96]
-#: CI gate: extrema pushdown must never lose to saturate-then-filter on
-#: the shortest-path sweep (mean post_s / pushdown_s across sizes ≥ 1.0);
-#: in practice the gap is an order of magnitude at the largest size.
-EXTREMA_SPEEDUP_FLOOR = 1.0
-INCREMENTAL_SIZES = [40, 80, 160]
-#: CI gate: maintaining the view through an update stream must never
-#: lose to re-running ``solve_program`` after every batch (mean
-#: recompute_s / incremental_s across sizes ≥ 1.0); the gap widens with
-#: the model size since a localized delta costs O(affected), not O(model).
-INCREMENTAL_SPEEDUP_FLOOR = 1.0
-#: Batch size and shard count for the cross-process scaling sweep.
-SHARDED_SCALING_REQUESTS = 64
-SHARDED_SCALING_SHARDS = 4
-#: CI gate: serving the batch through SHARDED_SCALING_SHARDS worker
-#: processes must beat one worker process by at least this factor.  Only
-#: measured (and only gated) on machines with enough cores to express
-#: the parallelism — a 1-core container records the sweep as skipped.
-SHARDED_SCALING_FLOOR = 1.5
-#: Batch size and shard count for the replication-overhead sweep.
-REPLICATION_REQUESTS = 32
-REPLICATION_SHARDS = 2
-#: CI gate: running every shard as a primary + warm hot standby (WAL
-#: shipping over the pipe, replay in the standby process) must cost
-#: < 10% over the same durable sharded service with ``replicas=0``.
-#: Shipping happens post-fsync off the response path, so the tax is the
-#: pipe relay plus the standby processes competing for cores — hence the
-#: sweep needs enough cores to park the standbys on (skipped otherwise).
-REPLICATION_OVERHEAD_CEILING = 1.10
+
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep of the report and its gate.
+
+    ``measure()`` returns the sweep's block without its description.  A
+    sweep with no ``stat`` is recorded, not gated.  ``read`` takes the
+    statistic from a block where the block does not store it under
+    ``stat`` (the TC block keeps only its rows).
+    """
+
+    name: str
+    description: str
+    measure: Callable[[], Dict[str, Any]]
+    stat: Optional[str] = None
+    gate: str = ""
+    bound: float = 0.0
+    read: Optional[Callable[[Dict[str, Any]], float]] = None
+
+    @property
+    def gate_text(self) -> str:
+        if self.gate == BASELINE:
+            return f"floor {self.bound:.2f} x baseline"
+        return f"{self.gate} {self.bound:.2f}x"
+
+    def statistic(self, block: Dict[str, Any]) -> float:
+        """The gated value in *block*; raises ``KeyError`` if it has none."""
+        return self.read(block) if self.read else block[self.stat]
+
+    def failure(
+        self, block: Dict[str, Any], baseline: Dict[str, Any]
+    ) -> Optional[str]:
+        """Why *block* fails this sweep's gate; ``None`` when it holds."""
+        if self.stat is None or "skipped" in block:
+            return None
+        value = self.statistic(block)
+        limit = self.bound
+        if self.gate == BASELINE:
+            limit *= self.statistic(baseline["sweeps"][self.name])
+        failed = value > limit if self.gate == CEILING else value < limit
+        if not failed:
+            return None
+        return (
+            f"{self.name} regressed: {self.stat} {value:.3f}x against "
+            f"{limit:.3f}x ({self.gate_text})"
+        )
+
+
+def _rows(
+    first: SweepResult, second: SweepResult, keys: Tuple[str, str], ratio: str
+) -> List[Dict[str, Any]]:
+    """Per-size rows of a paired sweep: each side's best time under *keys*
+    and their *ratio* — a ``speedup`` is first / second (the slow side
+    first), an ``overhead`` second / first (the bare side first)."""
+    rows = []
+    for a, b in zip(first.points, second.points):
+        slow, fast = (a, b) if ratio == "speedup" else (b, a)
+        rows.append(
+            {
+                "size": a.size,
+                keys[0]: round(a.seconds, 6),
+                keys[1]: round(b.seconds, 6),
+                ratio: round(slow.seconds / max(fast.seconds, 1e-9), 3),
+            }
+        )
+    return rows
+
+
+def _summarised(rows: List[Dict[str, Any]], column: str) -> Dict[str, Any]:
+    """A block of *rows* with the mean and the minimum of their *column*."""
+    values = [row[column] for row in rows]
+    return {
+        "rows": rows,
+        f"mean_{column}": round(sum(values) / len(values), 3),
+        f"min_{column}": round(min(values), 3),
+    }
+
+
+def _same_models(
+    label: str,
+    sizes: Sequence[int],
+    make_input: Callable[[int], Any],
+    operations: Tuple[Callable[[Any], Database], Callable[[Any], Database]],
+) -> None:
+    """Raise unless both *operations* compute the same model at every
+    size; run before a paired sweep times them."""
+    for size in sizes:
+        payload = make_input(size)
+        first, second = (operation(payload).as_dict() for operation in operations)
+        if first != second:
+            raise AssertionError(f"{label}: models diverged at size {size}")
+
+
+TC_TEXT = """
+path(X, Y) <- edge(X, Y).
+path(X, Y) <- path(X, Z), edge(Z, Y).
+"""
+TC = parse_program(TC_TEXT)
+
+
+def _chain(n: int) -> List[tuple]:
+    return [(i, i + 1) for i in range(n)]
+
+
+def _mean_row_speedup(block: Dict[str, Any]) -> float:
+    rows = block["rows"]
+    return sum(row["speedup"] for row in rows) / len(rows)
+
+
+def _tc_op(cache_plans: bool) -> Callable[[Any], Any]:
+    def op(edges):
+        db = Database()
+        db.assert_all("edge", edges)
+        engine = SeminaiveEngine(TC, cache_plans=cache_plans)
+        engine.run(db)
+        return engine.stats.plans_compiled
+
+    return op
+
+
+def _measure_tc() -> Dict[str, Any]:
+    uncached, cached = paired_sweep(
+        ("tc/per-call-plans", "tc/cached-plans"),
+        [20, 40, 80, 160],
+        _chain,
+        (_tc_op(False), _tc_op(True)),
+        repeats=3,
+    )
+    # Metrics snapshot of one traced cached-plans run at the largest size.
+    db = Database()
+    db.assert_all("edge", _chain(cached.sizes[-1]))
+    tracer = Tracer(enabled=True)
+    SeminaiveEngine(TC, tracer=tracer).run(db)
+    return {
+        "rows": _rows(uncached, cached, ("before_s", "after_s"), "speedup"),
+        "plans_compiled": {
+            "before": [p.payload for p in uncached.points],
+            "after": [p.payload for p in cached.points],
+        },
+        "exponent_before": round(uncached.exponent(), 3),
+        "exponent_after": round(cached.exponent(), 3),
+        "metrics": metrics_snapshot(tracer.registry),
+    }
+
+
+def _costed(n: int) -> List[tuple]:
+    return random_costed_relation(n, seed=0)
+
+
+def _sort(payload, governor: Any = None) -> Database:
+    """The Example 5 sorting program: the timed work of five sweeps."""
+    return solve_program(
+        texts.SORTING, facts={"p": list(payload)}, seed=0, governor=governor
+    )
+
+
+def _governed(durability: Any = None):
+    """A governor with every cap set but unhittable, so the run pays the
+    full per-tick bookkeeping."""
+    from repro.robust import Budget, RunGovernor
+
+    budget = Budget(
+        wall_clock=3600.0,
+        max_gamma_steps=10**9,
+        max_rounds=10**9,
+        max_facts=10**9,
+    )
+    return RunGovernor(budget, durability=durability)
+
+
+def _measure_sorting() -> Dict[str, Any]:
+    greedy = sweep("sorting/rql", [8, 16, 32], _costed, _sort, repeats=3)
+    # Metrics snapshot of one traced greedy run at the largest size.
+    tracer = Tracer(enabled=True)
+    compile_program(texts.SORTING).run(
+        facts={"p": _costed(greedy.sizes[-1])}, seed=0, tracer=tracer
+    )
+    rows = [{"size": p.size, "seconds": round(p.seconds, 6)} for p in greedy.points]
+    return {
+        "rows": rows,
+        "exponent": round(greedy.exponent(), 3),
+        "metrics": metrics_snapshot(tracer.registry),
+    }
+
+
+def _measure_governor() -> Dict[str, Any]:
+    off, on = paired_sweep(
+        ("governor/off", "governor/on"),
+        [32, 64, 128, 256],
+        _costed,
+        (_sort, lambda payload: _sort(payload, _governed())),
+        repeats=15,
+    )
+    return _summarised(_rows(off, on, ("off_s", "on_s"), "overhead"), "overhead")
+
+
+def _measure_service() -> Dict[str, Any]:
+    from repro.serve import QueryRequest, QueryService
+
+    service = QueryService(workers=1)
+    try:
+
+        def served(payload):
+            return service.evaluate(
+                QueryRequest(program=texts.SORTING, facts={"p": payload}, seed=0),
+                timeout=60,
+            )
+
+        direct, through = paired_sweep(
+            ("service/direct", "service/served"),
+            [32, 64, 128, 256],
+            _costed,
+            (_sort, served),
+            repeats=15,
+        )
+    finally:
+        service.close()
+    rows = _rows(direct, through, ("direct_s", "service_s"), "overhead")
+    return _summarised(rows, "overhead")
+
+
+def _measure_durable() -> Dict[str, Any]:
+    from repro.durable import CheckpointStore, DurableWriter
+
+    run_ids = itertools.count(1)
+    with tempfile.TemporaryDirectory(prefix="bench-durable-") as root:
+        store = CheckpointStore(root)
+        try:
+
+            def durable(payload):
+                writer = DurableWriter(store, str(next(run_ids)))
+                return _sort(payload, _governed(writer))
+
+            bare, on = paired_sweep(
+                ("durable/bare", "durable/on"),
+                [32, 64, 128, 256],
+                _costed,
+                (lambda payload: _sort(payload, _governed()), durable),
+                repeats=15,
+            )
+        finally:
+            store.close()
+    rows = _rows(bare, on, ("bare_s", "durable_s"), "overhead")
+    return _summarised(rows, "overhead")
+
 
 #: Wide multi-join rules (4-6 goals per body) over skewed relation sizes.
 #: The written body order leads every rule with a big relation and leaves
@@ -117,250 +322,6 @@ JOIN = parse_program(
 )
 
 
-def _chain(n: int) -> List[tuple]:
-    return [(i, i + 1) for i in range(n)]
-
-
-def _tc_op(cache_plans: bool) -> Callable[[Any], Any]:
-    def op(edges):
-        db = Database()
-        db.assert_all("edge", edges)
-        engine = SeminaiveEngine(TC, cache_plans=cache_plans)
-        engine.run(db)
-        return engine.stats.plans_compiled
-
-    return op
-
-
-def _sorting_op(payload):
-    db = solve_program(texts.SORTING, facts={"p": payload}, seed=0)
-    return len(db.relation("sp", 3))
-
-
-def _governed_sorting_op(governed: bool) -> Callable[[Any], Any]:
-    """The sorting op with the execution governor enabled (generous
-    budget: every cap present but unhittable, so the run pays the full
-    per-tick bookkeeping) or the NULL_GOVERNOR fast path."""
-
-    def op(payload):
-        governor = None
-        if governed:
-            from repro.robust import Budget, RunGovernor
-
-            governor = RunGovernor(
-                Budget(
-                    wall_clock=3600.0,
-                    max_gamma_steps=10**9,
-                    max_rounds=10**9,
-                    max_facts=10**9,
-                )
-            )
-        db = solve_program(
-            texts.SORTING, facts={"p": list(payload)}, seed=0, governor=governor
-        )
-        return len(db.relation("sp", 3))
-
-    return op
-
-
-def _rows(
-    before, after, before_key: str = "before_s", after_key: str = "after_s"
-) -> List[Dict[str, Any]]:
-    rows = []
-    for b, a in zip(before.points, after.points):
-        rows.append(
-            {
-                "size": a.size,
-                before_key: round(b.seconds, 6),
-                after_key: round(a.seconds, 6),
-                "speedup": round(b.seconds / max(a.seconds, 1e-9), 3),
-            }
-        )
-    return rows
-
-
-def _tc_metrics(size: int) -> Dict[str, Any]:
-    """Metrics snapshot of one traced cached-plans TC run at *size*."""
-    db = Database()
-    db.assert_all("edge", _chain(size))
-    tracer = Tracer(enabled=True)
-    SeminaiveEngine(TC, tracer=tracer).run(db)
-    return metrics_snapshot(tracer.registry)
-
-
-def _sorting_metrics(size: int) -> Dict[str, Any]:
-    """Metrics snapshot of one traced greedy sorting run at *size*."""
-    tracer = Tracer(enabled=True)
-    compiled = compile_program(texts.SORTING)
-    compiled.run(
-        facts={"p": random_costed_relation(size, seed=0)}, seed=0, tracer=tracer
-    )
-    return metrics_snapshot(tracer.registry)
-
-
-def _governor_overhead_rows(
-    sizes: Sequence[int], repeats: int = 9
-) -> List[Dict[str, Any]]:
-    """Best-of-*repeats* governed vs ungoverned timings, **interleaved**
-    (off, on, off, on, ...) so slow clock drift and allocator state hit
-    both variants equally — single-digit-millisecond runs are otherwise
-    too noisy to gate a few-percent overhead on."""
-    import time
-
-    off_op = _governed_sorting_op(False)
-    on_op = _governed_sorting_op(True)
-    rows: List[Dict[str, Any]] = []
-    for size in sizes:
-        payload = random_costed_relation(size, seed=0)
-        off_op(payload)  # warm both paths before timing
-        on_op(payload)
-        best_off = best_on = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            off_op(payload)
-            best_off = min(best_off, time.perf_counter() - start)
-            start = time.perf_counter()
-            on_op(payload)
-            best_on = min(best_on, time.perf_counter() - start)
-        rows.append(
-            {
-                "size": size,
-                "off_s": round(best_off, 6),
-                "on_s": round(best_on, 6),
-                "overhead": round(best_on / max(best_off, 1e-9), 3),
-            }
-        )
-    return rows
-
-
-def _service_overhead_rows(
-    sizes: Sequence[int], repeats: int = 9
-) -> List[Dict[str, Any]]:
-    """Best-of-*repeats* direct vs in-process-service timings for the
-    sorting run, **interleaved** like the governor sweep.  The service
-    path pays admission, the cross-thread handoff, a per-request governor
-    and the metrics merge — the gate pins that tax below 10%."""
-    import time
-
-    from repro.serve import QueryRequest, QueryService
-
-    rows: List[Dict[str, Any]] = []
-    service = QueryService(workers=1)
-    try:
-        for size in sizes:
-            payload = random_costed_relation(size, seed=0)
-
-            def direct_op():
-                return solve_program(texts.SORTING, facts={"p": list(payload)}, seed=0)
-
-            def service_op():
-                return service.evaluate(
-                    QueryRequest(
-                        program=texts.SORTING, facts={"p": payload}, seed=0
-                    ),
-                    timeout=60,
-                )
-
-            direct_op()  # warm both paths before timing
-            service_op()
-            best_direct = best_service = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                direct_op()
-                best_direct = min(best_direct, time.perf_counter() - start)
-                start = time.perf_counter()
-                service_op()
-                best_service = min(best_service, time.perf_counter() - start)
-            rows.append(
-                {
-                    "size": size,
-                    "direct_s": round(best_direct, 6),
-                    "service_s": round(best_service, 6),
-                    "overhead": round(best_service / max(best_direct, 1e-9), 3),
-                }
-            )
-    finally:
-        service.close()
-    return rows
-
-
-def _durable_overhead_rows(
-    sizes: Sequence[int], repeats: int = 9
-) -> List[Dict[str, Any]]:
-    """Best-of-*repeats* governed-bare vs governed-durable timings,
-    **interleaved** like the governor sweep.  The durable run pays the
-    per-tick cadence bookkeeping of a :class:`DurableWriter` at the
-    default (time-based) policy; checkpoint serialization itself is
-    self-limited by that policy to at most one write per interval, so
-    what this sweep pins is the steady-state tick tax every governed
-    step pays once durability is attached."""
-    import tempfile
-    import time
-
-    from repro.durable import CheckpointStore, DurableWriter
-    from repro.robust import Budget, RunGovernor
-
-    budget = Budget(
-        wall_clock=3600.0,
-        max_gamma_steps=10**9,
-        max_rounds=10**9,
-        max_facts=10**9,
-    )
-
-    rows: List[Dict[str, Any]] = []
-    with tempfile.TemporaryDirectory(prefix="bench-durable-") as root:
-        store = CheckpointStore(root)
-        try:
-            rid = 0
-            for size in sizes:
-                payload = random_costed_relation(size, seed=0)
-
-                def bare_op():
-                    governor = RunGovernor(budget)
-                    return solve_program(
-                        texts.SORTING,
-                        facts={"p": list(payload)},
-                        seed=0,
-                        governor=governor,
-                    )
-
-                def durable_op():
-                    nonlocal rid
-                    rid += 1
-                    writer = DurableWriter(store, str(rid))
-                    governor = RunGovernor(budget, durability=writer)
-                    return solve_program(
-                        texts.SORTING,
-                        facts={"p": list(payload)},
-                        seed=0,
-                        governor=governor,
-                    )
-
-                bare_op()  # warm both paths before timing
-                durable_op()
-                best_bare = best_durable = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    bare_op()
-                    best_bare = min(best_bare, time.perf_counter() - start)
-                    start = time.perf_counter()
-                    durable_op()
-                    best_durable = min(best_durable, time.perf_counter() - start)
-                rows.append(
-                    {
-                        "size": size,
-                        "bare_s": round(best_bare, 6),
-                        "durable_s": round(best_durable, 6),
-                        "overhead": round(
-                            best_durable / max(best_bare, 1e-9), 3
-                        ),
-                    }
-                )
-        finally:
-            store.close()
-    return rows
-
-
 def _join_db(n: int) -> Database:
     """Skewed-size EDB for the multi-join sweep: three permutation-like
     chains of *n* facts, one fan-out-4 relation of ``4n`` facts, and two
@@ -375,47 +336,21 @@ def _join_db(n: int) -> Database:
     return db
 
 
-def _join_order_rows(
-    sizes: Sequence[int], repeats: int = 9
-) -> List[Dict[str, Any]]:
-    """Best-of-*repeats* written vs greedy timings for the multi-join
-    rules, **interleaved** like the governor sweep.  Each op builds the
-    database and evaluates the whole program, so the ratio understates
-    the pure join-work gap (EDB loading is identical on both sides) —
-    which makes the gate conservative.  Models are checked identical per
-    size before anything is timed."""
-    import time
-
-    def written_op(n):
-        return SeminaiveEngine(JOIN, order="written").run(_join_db(n))
-
-    def greedy_op(n):
-        return SeminaiveEngine(JOIN, order="greedy").run(_join_db(n))
-
-    rows: List[Dict[str, Any]] = []
-    for size in sizes:
-        # Warm both paths and pin order-invariance of the result.
-        if written_op(size).as_dict() != greedy_op(size).as_dict():
-            raise AssertionError(
-                f"join-order sweep: models diverged at size {size}"
-            )
-        best_written = best_greedy = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            written_op(size)
-            best_written = min(best_written, time.perf_counter() - start)
-            start = time.perf_counter()
-            greedy_op(size)
-            best_greedy = min(best_greedy, time.perf_counter() - start)
-        rows.append(
-            {
-                "size": size,
-                "written_s": round(best_written, 6),
-                "greedy_s": round(best_greedy, 6),
-                "speedup": round(best_written / max(best_greedy, 1e-9), 3),
-            }
-        )
-    return rows
+def _measure_join() -> Dict[str, Any]:
+    # Each op builds the database and evaluates the whole program, so the
+    # ratio understates the pure join-work gap (EDB loading is identical
+    # on both sides), which makes the gate conservative.
+    sizes = [64, 128, 256]
+    orders = (
+        lambda n: SeminaiveEngine(JOIN, order="written").run(_join_db(n)),
+        lambda n: SeminaiveEngine(JOIN, order="greedy").run(_join_db(n)),
+    )
+    _same_models("join-order sweep", sizes, lambda n: n, orders)
+    written, greedy = paired_sweep(
+        ("join/written", "join/greedy"), sizes, lambda n: n, orders, repeats=9
+    )
+    rows = _rows(written, greedy, ("written_s", "greedy_s"), "speedup")
+    return _summarised(rows, "speedup")
 
 
 def _extrema_graph(n: int, width: int = 4) -> List[tuple]:
@@ -437,71 +372,43 @@ def _extrema_graph(n: int, width: int = 4) -> List[tuple]:
     return g
 
 
-def _extrema_rows(
-    sizes: Sequence[int], repeats: int = 3
-) -> List[Dict[str, Any]]:
-    """Best-of-*repeats* post vs pushdown timings for the premappable
-    shortest-path program on layered DAGs, **interleaved** like the
-    governor sweep.  Models are checked identical per size before
-    anything is timed — the policy equivalence this repository proves in
-    the cross-engine battery, re-pinned here at bench scale."""
-    import time
-
+def _measure_extrema() -> Dict[str, Any]:
     program = parse_program(texts.SHORTEST_PATH)
 
-    def run(extrema: str, edges) -> Database:
-        db = Database()
-        db.assert_all("g", edges)
-        db.assert_all("source", [(0,)])
-        SeminaiveEngine(program, extrema=extrema).run(db)
-        return db
+    def policy(extrema: str) -> Callable[[Any], Database]:
+        def op(edges):
+            db = Database()
+            db.assert_all("g", edges)
+            db.assert_all("source", [(0,)])
+            SeminaiveEngine(program, extrema=extrema).run(db)
+            return db
 
-    rows: List[Dict[str, Any]] = []
-    for size in sizes:
-        edges = _extrema_graph(size)
-        # Warm both paths and pin policy-invariance of the result.
-        if run("post", edges).as_dict() != run("pushdown", edges).as_dict():
-            raise AssertionError(f"extrema sweep: models diverged at size {size}")
-        best_post = best_push = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run("post", edges)
-            best_post = min(best_post, time.perf_counter() - start)
-            start = time.perf_counter()
-            run("pushdown", edges)
-            best_push = min(best_push, time.perf_counter() - start)
-        rows.append(
-            {
-                "size": size,
-                "post_s": round(best_post, 6),
-                "pushdown_s": round(best_push, 6),
-                "speedup": round(best_post / max(best_push, 1e-9), 3),
-            }
-        )
-    return rows
+        return op
+
+    sizes, policies = [24, 48, 96], (policy("post"), policy("pushdown"))
+    # The policy equivalence the cross-engine battery proves, re-pinned
+    # at bench scale.
+    _same_models("extrema sweep", sizes, _extrema_graph, policies)
+    post, pushdown = paired_sweep(
+        ("extrema/post", "extrema/pushdown"), sizes, _extrema_graph, policies, repeats=5
+    )
+    rows = _rows(post, pushdown, ("post_s", "pushdown_s"), "speedup")
+    return _summarised(rows, "speedup")
 
 
-def _incremental_rows(
-    sizes: Sequence[int], repeats: int = 3, updates: int = 10
-) -> List[Dict[str, Any]]:
-    """Best-of-*repeats* timings for an update stream applied through a
-    :class:`~repro.incremental.MaterializedView` (counting + DRed
-    maintenance) vs re-running ``solve_program`` from scratch after every
-    batch.  The stream churns the tail of a transitive-closure chain —
-    extend, retract, re-extend — so each delta is localized while the
-    model stays O(n²).  The final models are checked identical before the
-    row is recorded."""
-    import time
-
+def _measure_incremental() -> Dict[str, Any]:
+    """Best-of-3 timings for an update stream applied through a
+    :class:`~repro.incremental.MaterializedView` vs re-running
+    ``solve_program`` from scratch after every batch.  The stream churns
+    the tail of a transitive-closure chain — extend, retract, re-extend —
+    so each delta is localized while the model stays O(n²).  Only the
+    stream is timed, not the view's construction and initial load, so
+    this sweep keeps its own loop instead of :func:`paired_sweep`."""
     from repro.incremental import MaterializedView, UpdateBatch, UpdateOp
 
-    tc_text = """
-    path(X, Y) <- edge(X, Y).
-    path(X, Y) <- path(X, Z), edge(Z, Y).
-    """
-
+    updates = 10
     rows: List[Dict[str, Any]] = []
-    for size in sizes:
+    for size in [40, 80, 160]:
         base = _chain(size)
         stream = []
         for i in range(updates):
@@ -509,7 +416,7 @@ def _incremental_rows(
             stream.append(("+" if i % 2 == 0 else "-", tail))
 
         def incremental_once():
-            view = MaterializedView(tc_text, engine="seminaive", seed=0)
+            view = MaterializedView(TC_TEXT, engine="seminaive", seed=0)
             view.apply(
                 UpdateBatch.of(
                     [UpdateOp("+", "edge", e) for e in base], batch_id="init"
@@ -532,7 +439,7 @@ def _incremental_rows(
                 else:
                     edges.remove(edge)
                 db = solve_program(
-                    tc_text, facts={"edge": list(edges)}, seed=0, engine="seminaive"
+                    TC_TEXT, facts={"edge": list(edges)}, seed=0, engine="seminaive"
                 )
             return time.perf_counter() - start, db
 
@@ -544,7 +451,7 @@ def _incremental_rows(
                 f"incremental sweep: maintained view diverged at size {size}"
             )
         best_inc = best_scratch = float("inf")
-        for _ in range(repeats):
+        for _ in range(3):
             seconds, _ = incremental_once()
             best_inc = min(best_inc, seconds)
             seconds, _ = scratch_once()
@@ -558,29 +465,31 @@ def _incremental_rows(
                 "speedup": round(best_scratch / max(best_inc, 1e-9), 3),
             }
         )
-    return rows
+    return _summarised(rows, "speedup")
 
 
-def _sharded_scaling_rows(
-    requests: int = SHARDED_SCALING_REQUESTS,
-    shards: int = SHARDED_SCALING_SHARDS,
-    repeats: int = 3,
-) -> Any:
-    """Wall time for one *requests*-sized batch through 1 vs *shards*
-    worker processes; returns ``None`` on machines without enough cores
-    to express the parallelism (the sweep would measure context
-    switching, not scaling).
+#: Batch size and shard count for the cross-process scaling sweep.
+SHARDED_SCALING_REQUESTS = 64
+SHARDED_SCALING_SHARDS = 4
+#: Batch size and shard count for the replication-overhead sweep.
+REPLICATION_REQUESTS = 32
+REPLICATION_SHARDS = 2
+
+
+def _measure_sharded_scaling() -> Dict[str, Any]:
+    """Wall time for one batch through 1 vs ``SHARDED_SCALING_SHARDS``
+    worker processes; skipped on machines without enough cores to express
+    the parallelism (the sweep would measure context switching, not
+    scaling).
 
     The batch spreads over ``4 × shards`` distinct program classes so
     fingerprint routing actually fans out — a single-class batch pins to
     one shard by design (ownership keeps its plan cache hot) and is the
     wrong thing to measure here.
     """
-    import os as _os
-    import time
-
-    if (_os.cpu_count() or 1) < shards:
-        return None
+    requests, shards, repeats = SHARDED_SCALING_REQUESTS, SHARDED_SCALING_SHARDS, 3
+    if (os.cpu_count() or 1) < shards:
+        return {"skipped": "not enough cores for the shard count"}
 
     from repro.serve import QueryRequest, ShardedQueryService
 
@@ -625,26 +534,18 @@ def _sharded_scaling_rows(
     }
 
 
-def _replication_overhead_rows(
-    requests: int = REPLICATION_REQUESTS,
-    shards: int = REPLICATION_SHARDS,
-    repeats: int = 3,
-) -> Any:
-    """Wall time for one *requests*-sized batch through a durable
-    sharded service with ``replicas=0`` vs ``replicas=1``; returns
-    ``None`` on machines without a core per worker process (2 primaries
-    + 2 standbys), where the sweep would measure scheduling pressure
-    rather than the shipping tax.
+def _measure_replication() -> Dict[str, Any]:
+    """Wall time for one batch through a durable sharded service with
+    ``replicas=0`` vs ``replicas=1``; skipped on machines without a core
+    per worker process (2 primaries + 2 standbys), where the sweep would
+    measure scheduling pressure rather than the shipping tax.
 
     The replicated run is timed only after every standby reports warm,
     so the batch pays steady-state shipping — not one-off anti-entropy.
     """
-    import os as _os
-    import tempfile
-    import time
-
-    if (_os.cpu_count() or 1) < 2 * shards:
-        return None
+    requests, shards, repeats = REPLICATION_REQUESTS, REPLICATION_SHARDS, 3
+    if (os.cpu_count() or 1) < 2 * shards:
+        return {"skipped": "not enough cores for primary+standby pairs"}
 
     from repro.serve import QueryRequest, ShardedQueryService
 
@@ -701,34 +602,160 @@ def _replication_overhead_rows(
     }
 
 
-def run_regression(
-    tc_sizes: Sequence[int] = TC_SIZES,
-    sort_sizes: Sequence[int] = SORT_SIZES,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Measure the sweeps and return the report as a plain dict."""
-    uncached, cached = paired_sweep(
-        ("tc/per-call-plans", "tc/cached-plans"),
-        tc_sizes,
-        _chain,
-        (_tc_op(False), _tc_op(True)),
-        repeats=repeats,
-    )
-    greedy = sweep(
-        "sorting/rql",
-        sort_sizes,
-        lambda n: random_costed_relation(n, seed=0),
-        _sorting_op,
-        repeats=repeats,
-    )
-    governor_rows = _governor_overhead_rows(GOVERNOR_SIZES, repeats=max(repeats, 15))
-    service_rows = _service_overhead_rows(SERVICE_SIZES, repeats=max(repeats, 15))
-    durable_rows = _durable_overhead_rows(DURABLE_SIZES, repeats=max(repeats, 15))
-    join_rows = _join_order_rows(JOIN_SIZES, repeats=max(repeats, 9))
-    extrema_rows = _extrema_rows(EXTREMA_SIZES, repeats=max(repeats, 5))
-    incremental_rows = _incremental_rows(INCREMENTAL_SIZES, repeats=repeats)
-    scaling = _sharded_scaling_rows(repeats=repeats)
-    replication = _replication_overhead_rows(repeats=repeats)
+#: Every sweep of the report, in report order, with its gate: the one
+#: list of the bench's gates.
+SWEEPS: Tuple[Sweep, ...] = (
+    Sweep(
+        "seminaive_tc",
+        "E7 transitive closure on a path; before = "
+        "per-call planning (cache_plans=False), after = plan cache",
+        _measure_tc,
+        # Cached plans may lose at most 25% of the baseline's mean speedup.
+        stat="mean_speedup",
+        gate=BASELINE,
+        bound=0.75,
+        read=_mean_row_speedup,
+    ),
+    Sweep(
+        "greedy_sorting",
+        "(R, Q, L) engine on the Example 5 sorting "
+        "program; rest_plan is compiled once per candidate atom "
+        "instead of once per popped candidate",
+        _measure_sorting,
+    ),
+    Sweep(
+        "governor_overhead",
+        "(R, Q, L) sorting run with the execution "
+        "governor armed (every cap set but unhittable) vs the "
+        "NULL_GOVERNOR no-op path; overhead = on_s / off_s.  The "
+        "gate uses min_overhead: scheduler noise only ever slows "
+        "a run, so the smallest ratio is the cleanest estimate of "
+        "the true per-tick cost, and a real regression lifts "
+        "every row at once",
+        _measure_governor,
+        # An armed governor costs < 5% over the NULL_GOVERNOR path at the
+        # size where its overhead reads lowest.
+        stat="min_overhead",
+        gate=CEILING,
+        bound=1.05,
+    ),
+    Sweep(
+        "service_overhead",
+        "(R, Q, L) sorting run submitted through the "
+        "in-process QueryService (admission queue, worker thread, "
+        "per-request governor and metrics merge) vs the direct "
+        "solve_program call; overhead = service_s / direct_s.  "
+        "Gated on min_overhead like the governor sweep: noise only "
+        "ever inflates a ratio, so the smallest one is the "
+        "cleanest estimate of the true service tax",
+        _measure_service,
+        # Serving a request in-process costs < 10% over the direct call at
+        # the size where its overhead reads lowest.
+        stat="min_overhead",
+        gate=CEILING,
+        bound=1.10,
+    ),
+    Sweep(
+        "durable_overhead",
+        "(R, Q, L) sorting run under a governor "
+        "with a DurableWriter attached at the default time-based "
+        "cadence (checkpoint store on disk) vs the same governed "
+        "run bare; overhead = durable_s / bare_s.  The time "
+        "cadence caps checkpoint serialization at one write per "
+        "interval, so the sweep pins the per-tick durability tax. "
+        "Gated on min_overhead like the governor sweep",
+        _measure_durable,
+        # A DurableWriter at the default cadence costs < 5% over the bare
+        # governed run at the size where its overhead reads lowest.
+        stat="min_overhead",
+        gate=CEILING,
+        bound=1.05,
+    ),
+    Sweep(
+        "join_order",
+        "wide multi-join rules (4-6 goals per "
+        "body) over skewed relation sizes, seminaive with "
+        "order='written' (legacy body order, selective goals "
+        "last) vs order='greedy' (the reorderer starts from "
+        "constants/tiny relations and walks the joins through "
+        "indexed lookups); speedup = written_s / greedy_s, "
+        "models checked identical before timing",
+        _measure_join,
+        # The greedy join order never loses to the written order on
+        # average over the sizes.
+        stat="mean_speedup",
+        gate=FLOOR,
+        bound=1.0,
+    ),
+    Sweep(
+        "extrema_pushdown",
+        "premappable shortest-path program on "
+        "layered DAGs, seminaive with extrema='post' (saturate "
+        "the full dominated fixpoint, then filter per group) vs "
+        "extrema='pushdown' (per-group best table consulted on "
+        "insert, dominated facts dropped and displaced ones "
+        "retracted from the delta); speedup = post_s / "
+        "pushdown_s, models checked identical before timing",
+        _measure_extrema,
+        # Pushdown never loses to saturate-then-filter; in practice the
+        # gap is an order of magnitude at the largest size.
+        stat="mean_speedup",
+        gate=FLOOR,
+        bound=1.0,
+    ),
+    Sweep(
+        "incremental_maintenance",
+        "a tail-churn update stream on the "
+        "transitive-closure chain applied through a "
+        "MaterializedView (counting for non-recursive strata, "
+        "DRed over delta plans for recursive cliques) vs "
+        "re-running solve_program from scratch after every "
+        "batch; speedup = recompute_s / incremental_s, final "
+        "models checked identical before timing",
+        _measure_incremental,
+        # Maintaining the view never loses to re-running solve_program
+        # after every batch; the gap widens with the model size since a
+        # localized delta costs O(affected), not O(model).
+        stat="mean_speedup",
+        gate=FLOOR,
+        bound=1.0,
+    ),
+    Sweep(
+        "sharded_scaling",
+        "one batch of sorting requests over "
+        f"{4 * SHARDED_SCALING_SHARDS} program classes served "
+        "through the sharded front door with 1 vs "
+        f"{SHARDED_SCALING_SHARDS} worker processes; speedup = "
+        "one_shard_s / sharded_s.  Recorded as skipped (and not "
+        "gated) on machines with fewer cores than shards",
+        _measure_sharded_scaling,
+        # SHARDED_SCALING_SHARDS worker processes beat one by at least 1.5x.
+        stat="speedup",
+        gate=FLOOR,
+        bound=1.5,
+    ),
+    Sweep(
+        "replication_overhead",
+        "the same durable sharded batch with "
+        "replicas=0 vs replicas=1 (every shard a primary + warm "
+        "hot standby; WAL records shipped post-fsync over the "
+        "pipe and replayed by the standby process); overhead = "
+        "replicated_s / plain_s.  Recorded as skipped (and not "
+        "gated) on machines without a core per worker process",
+        _measure_replication,
+        # Hot standbys cost < 10% over the same durable service with
+        # replicas=0.  Shipping happens post-fsync off the response path,
+        # so the tax is the pipe relay plus the standby processes
+        # competing for cores.
+        stat="overhead",
+        gate=CEILING,
+        bound=1.10,
+    ),
+)
+
+
+def run_regression() -> Dict[str, Any]:
+    """Measure every sweep in :data:`SWEEPS`; return the report as a plain dict."""
     return {
         "meta": {
             "python": platform.python_version(),
@@ -736,285 +763,45 @@ def run_regression(
             "harness": "repro.bench.regression",
         },
         "sweeps": {
-            "seminaive_tc": {
-                "description": "E7 transitive closure on a path; before = "
-                "per-call planning (cache_plans=False), after = plan cache",
-                "rows": _rows(uncached, cached),
-                "plans_compiled": {
-                    "before": [p.payload for p in uncached.points],
-                    "after": [p.payload for p in cached.points],
-                },
-                "exponent_before": round(uncached.exponent(), 3),
-                "exponent_after": round(cached.exponent(), 3),
-                "metrics": _tc_metrics(max(tc_sizes)),
-            },
-            "greedy_sorting": {
-                "description": "(R, Q, L) engine on the Example 5 sorting "
-                "program; rest_plan is compiled once per candidate atom "
-                "instead of once per popped candidate",
-                "rows": [
-                    {"size": p.size, "seconds": round(p.seconds, 6)}
-                    for p in greedy.points
-                ],
-                "exponent": round(greedy.exponent(), 3),
-                "metrics": _sorting_metrics(max(sort_sizes)),
-            },
-            "governor_overhead": {
-                "description": "(R, Q, L) sorting run with the execution "
-                "governor armed (every cap set but unhittable) vs the "
-                "NULL_GOVERNOR no-op path; overhead = on_s / off_s.  The "
-                "gate uses min_overhead: scheduler noise only ever slows "
-                "a run, so the smallest ratio is the cleanest estimate of "
-                "the true per-tick cost, and a real regression lifts "
-                "every row at once",
-                "rows": governor_rows,
-                "mean_overhead": round(
-                    sum(row["overhead"] for row in governor_rows)
-                    / len(governor_rows),
-                    3,
-                ),
-                "min_overhead": round(
-                    min(row["overhead"] for row in governor_rows), 3
-                ),
-            },
-            "service_overhead": {
-                "description": "(R, Q, L) sorting run submitted through the "
-                "in-process QueryService (admission queue, worker thread, "
-                "per-request governor and metrics merge) vs the direct "
-                "solve_program call; overhead = service_s / direct_s.  "
-                "Gated on min_overhead like the governor sweep: noise only "
-                "ever inflates a ratio, so the smallest one is the "
-                "cleanest estimate of the true service tax",
-                "rows": service_rows,
-                "mean_overhead": round(
-                    sum(row["overhead"] for row in service_rows)
-                    / len(service_rows),
-                    3,
-                ),
-                "min_overhead": round(
-                    min(row["overhead"] for row in service_rows), 3
-                ),
-            },
-            "durable_overhead": {
-                "description": "(R, Q, L) sorting run under a governor "
-                "with a DurableWriter attached at the default time-based "
-                "cadence (checkpoint store on disk) vs the same governed "
-                "run bare; overhead = durable_s / bare_s.  The time "
-                "cadence caps checkpoint serialization at one write per "
-                "interval, so the sweep pins the per-tick durability tax. "
-                "Gated on min_overhead like the governor sweep",
-                "rows": durable_rows,
-                "mean_overhead": round(
-                    sum(row["overhead"] for row in durable_rows)
-                    / len(durable_rows),
-                    3,
-                ),
-                "min_overhead": round(
-                    min(row["overhead"] for row in durable_rows), 3
-                ),
-            },
-            "join_order": {
-                "description": "wide multi-join rules (4-6 goals per "
-                "body) over skewed relation sizes, seminaive with "
-                "order='written' (legacy body order, selective goals "
-                "last) vs order='greedy' (the reorderer starts from "
-                "constants/tiny relations and walks the joins through "
-                "indexed lookups); speedup = written_s / greedy_s, "
-                "models checked identical before timing",
-                "rows": join_rows,
-                "mean_speedup": round(
-                    sum(row["speedup"] for row in join_rows) / len(join_rows),
-                    3,
-                ),
-                "min_speedup": round(
-                    min(row["speedup"] for row in join_rows), 3
-                ),
-            },
-            "extrema_pushdown": {
-                "description": "premappable shortest-path program on "
-                "layered DAGs, seminaive with extrema='post' (saturate "
-                "the full dominated fixpoint, then filter per group) vs "
-                "extrema='pushdown' (per-group best table consulted on "
-                "insert, dominated facts dropped and displaced ones "
-                "retracted from the delta); speedup = post_s / "
-                "pushdown_s, models checked identical before timing",
-                "rows": extrema_rows,
-                "mean_speedup": round(
-                    sum(row["speedup"] for row in extrema_rows)
-                    / len(extrema_rows),
-                    3,
-                ),
-                "min_speedup": round(
-                    min(row["speedup"] for row in extrema_rows), 3
-                ),
-            },
-            "incremental_maintenance": {
-                "description": "a tail-churn update stream on the "
-                "transitive-closure chain applied through a "
-                "MaterializedView (counting for non-recursive strata, "
-                "DRed over delta plans for recursive cliques) vs "
-                "re-running solve_program from scratch after every "
-                "batch; speedup = recompute_s / incremental_s, final "
-                "models checked identical before timing",
-                "rows": incremental_rows,
-                "mean_speedup": round(
-                    sum(row["speedup"] for row in incremental_rows)
-                    / len(incremental_rows),
-                    3,
-                ),
-                "min_speedup": round(
-                    min(row["speedup"] for row in incremental_rows), 3
-                ),
-            },
-            "sharded_scaling": {
-                "description": "one batch of sorting requests over "
-                f"{4 * SHARDED_SCALING_SHARDS} program classes served "
-                "through the sharded front door with 1 vs "
-                f"{SHARDED_SCALING_SHARDS} worker processes; speedup = "
-                "one_shard_s / sharded_s.  Recorded as skipped (and not "
-                "gated) on machines with fewer cores than shards",
-                **(
-                    scaling
-                    if scaling is not None
-                    else {"skipped": "not enough cores for the shard count"}
-                ),
-            },
-            "replication_overhead": {
-                "description": "the same durable sharded batch with "
-                "replicas=0 vs replicas=1 (every shard a primary + warm "
-                "hot standby; WAL records shipped post-fsync over the "
-                "pipe and replayed by the standby process); overhead = "
-                "replicated_s / plain_s.  Recorded as skipped (and not "
-                "gated) on machines without a core per worker process",
-                **(
-                    replication
-                    if replication is not None
-                    else {"skipped": "not enough cores for primary+standby pairs"}
-                ),
-            },
+            entry.name: {"description": entry.description, **entry.measure()}
+            for entry in SWEEPS
         },
     }
 
 
-def _mean_speedup(report: Dict[str, Any]) -> float:
-    rows = report["sweeps"]["seminaive_tc"]["rows"]
-    return sum(row["speedup"] for row in rows) / len(rows)
-
-
 def check_against_baseline(
-    report: Dict[str, Any], baseline: Dict[str, Any], tolerance: float = 0.25
+    report: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
-    """Compare the plan-cache sweep against *baseline*; return failures.
+    """Gate *report* against *baseline*: one line per sweep whose gate
+    fails; an empty list means every gate held."""
+    failures = (
+        entry.failure(report["sweeps"][entry.name], baseline) for entry in SWEEPS
+    )
+    return [failure for failure in failures if failure is not None]
 
-    The gate compares the sweep's **mean speedup** (cached vs per-call
-    planning), not raw seconds: the ratio cancels the machine's constant
-    factor, so a committed baseline from one box is meaningful on
-    another.  A regression of more than ``tolerance`` (fractional) in
-    the mean speedup fails; an empty return value means the gate passed.
-    """
-    failures: List[str] = []
-    current = _mean_speedup(report)
-    expected = _mean_speedup(baseline)
-    floor = expected * (1.0 - tolerance)
-    if current < floor:
-        failures.append(
-            "plan-cache sweep regressed: mean speedup "
-            f"{current:.3f}x < {floor:.3f}x "
-            f"(baseline {expected:.3f}x - {tolerance:.0%} tolerance)"
-        )
-    # The governor gate is absolute, not baseline-relative: the on/off
-    # ratio cancels the machine's constant factor already.  `.get` guards
-    # keep baselines from before the governor sweep working.
-    overhead_block = report["sweeps"].get("governor_overhead")
-    if overhead_block is not None:
-        min_overhead = overhead_block.get("min_overhead", 1.0)
-        if min_overhead > GOVERNOR_OVERHEAD_CEILING:
-            failures.append(
-                "governor overhead regressed: governed runs cost at least "
-                f"{min_overhead:.3f}x ungoverned on every size "
-                f"(ceiling {GOVERNOR_OVERHEAD_CEILING:.2f}x)"
-            )
-    service_block = report["sweeps"].get("service_overhead")
-    if service_block is not None:
-        min_overhead = service_block.get("min_overhead", 1.0)
-        if min_overhead > SERVICE_OVERHEAD_CEILING:
-            failures.append(
-                "service overhead regressed: serving a request in-process "
-                f"costs at least {min_overhead:.3f}x the direct call on "
-                f"every size (ceiling {SERVICE_OVERHEAD_CEILING:.2f}x)"
-            )
-    durable_block = report["sweeps"].get("durable_overhead")
-    if durable_block is not None:
-        min_overhead = durable_block.get("min_overhead", 1.0)
-        if min_overhead > DURABLE_OVERHEAD_CEILING:
-            failures.append(
-                "durable overhead regressed: attaching a DurableWriter at "
-                f"the default cadence costs at least {min_overhead:.3f}x "
-                f"the bare governed run on every size "
-                f"(ceiling {DURABLE_OVERHEAD_CEILING:.2f}x)"
-            )
-    join_block = report["sweeps"].get("join_order")
-    if join_block is not None:
-        mean_speedup = join_block.get("mean_speedup", 1.0)
-        if mean_speedup < JOIN_ORDER_SPEEDUP_FLOOR:
-            failures.append(
-                "join-order sweep regressed: greedy plans average "
-                f"{mean_speedup:.3f}x the written order on the multi-join "
-                f"sweep (floor {JOIN_ORDER_SPEEDUP_FLOOR:.2f}x)"
-            )
-    # `.get` guard: baselines written before the extrema sweep existed
-    # simply skip this gate.
-    extrema_block = report["sweeps"].get("extrema_pushdown")
-    if extrema_block is not None:
-        mean_speedup = extrema_block.get("mean_speedup", 1.0)
-        if mean_speedup < EXTREMA_SPEEDUP_FLOOR:
-            failures.append(
-                "extrema sweep regressed: pushdown averages "
-                f"{mean_speedup:.3f}x the post policy on the shortest-path "
-                f"sweep (floor {EXTREMA_SPEEDUP_FLOOR:.2f}x)"
-            )
-    # `.get` guard: baselines written before the incremental sweep
-    # existed simply skip this gate.
-    incremental_block = report["sweeps"].get("incremental_maintenance")
-    if incremental_block is not None:
-        mean_speedup = incremental_block.get("mean_speedup", 1.0)
-        if mean_speedup < INCREMENTAL_SPEEDUP_FLOOR:
-            failures.append(
-                "incremental sweep regressed: view maintenance averages "
-                f"{mean_speedup:.3f}x the from-scratch recompute on the "
-                f"update-stream sweep (floor {INCREMENTAL_SPEEDUP_FLOOR:.2f}x)"
-            )
-    # `.get` guard twice over: old baselines lack the block entirely, and
-    # core-starved machines record it as skipped (no "speedup" key) — the
-    # gate only fires where the measurement is meaningful.
-    scaling_block = report["sweeps"].get("sharded_scaling")
-    if scaling_block is not None and "speedup" in scaling_block:
-        speedup = scaling_block["speedup"]
-        if speedup < SHARDED_SCALING_FLOOR:
-            failures.append(
-                "sharded scaling regressed: "
-                f"{scaling_block['shards']} worker processes serve the "
-                f"batch only {speedup:.3f}x faster than one "
-                f"(floor {SHARDED_SCALING_FLOOR:.2f}x)"
-            )
-    # Same double `.get` guard as sharded_scaling: old baselines lack
-    # the block, core-starved machines record it skipped.
-    repl_block = report["sweeps"].get("replication_overhead")
-    if repl_block is not None and "overhead" in repl_block:
-        overhead = repl_block["overhead"]
-        if overhead > REPLICATION_OVERHEAD_CEILING:
-            failures.append(
-                "replication overhead regressed: hot standbys cost "
-                f"{overhead:.3f}x the unreplicated durable batch "
-                f"(ceiling {REPLICATION_OVERHEAD_CEILING:.2f}x)"
-            )
-    return failures
+
+def _summary(entry: Sweep, block: Dict[str, Any]) -> List[str]:
+    """The lines printed for one sweep, whether writing or checking."""
+    if "skipped" in block:
+        return [f"{entry.name}: skipped ({block['skipped']})"]
+    head = entry.name
+    if entry.stat is not None:
+        value = entry.statistic(block)
+        head += f": {entry.stat} {value:.3f}x ({entry.gate_text})"
+    # The cross-process sweeps record one batch: print the block as a row.
+    rows = block.get("rows") or [
+        {key: value for key, value in block.items() if key != "description"}
+    ]
+    return [head] + [
+        "  " + "  ".join(f"{key} {value}" for key, value in row.items())
+        for row in rows
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.bench.regression",
-        description="Measure the plan-cache sweeps; write or check a baseline.",
+        description="Measure the benchmark sweeps; write or check a baseline.",
     )
     parser.add_argument(
         "out",
@@ -1033,12 +820,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE.json",
         help="baseline file for --check (default: the out path)",
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional mean-speedup regression for --check (default 0.25)",
-    )
     return parser
 
 
@@ -1053,126 +834,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EmptySweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = report["sweeps"]["seminaive_tc"]["rows"]
-    if args.check:
-        baseline_path = Path(args.baseline) if args.baseline else out
-        baseline = json.loads(baseline_path.read_text())
-        failures = check_against_baseline(report, baseline, tolerance=args.tolerance)
-        print(f"baseline {baseline_path}: mean speedup {_mean_speedup(baseline):.3f}x")
-        print(f"current : mean speedup {_mean_speedup(report):.3f}x")
-        for row in rows:
-            print(
-                f"  tc n={row['size']:>4}  before {row['before_s']:.4f}s  "
-                f"after {row['after_s']:.4f}s  speedup {row['speedup']:.2f}x"
-            )
-        overhead = report["sweeps"]["governor_overhead"]
-        for row in overhead["rows"]:
-            print(
-                f"  gov n={row['size']:>4}  off {row['off_s']:.4f}s  "
-                f"on {row['on_s']:.4f}s  overhead {row['overhead']:.2f}x"
-            )
-        print(
-            f"governor overhead: min {overhead['min_overhead']:.3f}x  "
-            f"mean {overhead['mean_overhead']:.3f}x"
-        )
-        service = report["sweeps"]["service_overhead"]
-        for row in service["rows"]:
-            print(
-                f"  srv n={row['size']:>4}  direct {row['direct_s']:.4f}s  "
-                f"service {row['service_s']:.4f}s  overhead {row['overhead']:.2f}x"
-            )
-        print(
-            f"service overhead: min {service['min_overhead']:.3f}x  "
-            f"mean {service['mean_overhead']:.3f}x"
-        )
-        durable = report["sweeps"]["durable_overhead"]
-        for row in durable["rows"]:
-            print(
-                f"  dur n={row['size']:>4}  bare {row['bare_s']:.4f}s  "
-                f"durable {row['durable_s']:.4f}s  overhead {row['overhead']:.2f}x"
-            )
-        print(
-            f"durable overhead: min {durable['min_overhead']:.3f}x  "
-            f"mean {durable['mean_overhead']:.3f}x"
-        )
-        join = report["sweeps"]["join_order"]
-        for row in join["rows"]:
-            print(
-                f"  join n={row['size']:>4}  written {row['written_s']:.4f}s  "
-                f"greedy {row['greedy_s']:.4f}s  speedup {row['speedup']:.2f}x"
-            )
-        print(
-            f"join-order speedup: min {join['min_speedup']:.3f}x  "
-            f"mean {join['mean_speedup']:.3f}x"
-        )
-        extrema = report["sweeps"]["extrema_pushdown"]
-        for row in extrema["rows"]:
-            print(
-                f"  ext n={row['size']:>4}  post {row['post_s']:.4f}s  "
-                f"pushdown {row['pushdown_s']:.4f}s  speedup {row['speedup']:.2f}x"
-            )
-        print(
-            f"extrema speedup: min {extrema['min_speedup']:.3f}x  "
-            f"mean {extrema['mean_speedup']:.3f}x"
-        )
-        incremental = report["sweeps"]["incremental_maintenance"]
-        for row in incremental["rows"]:
-            print(
-                f"  inc n={row['size']:>4}  recompute {row['recompute_s']:.4f}s  "
-                f"incremental {row['incremental_s']:.4f}s  speedup {row['speedup']:.2f}x"
-            )
-        print(
-            f"incremental speedup: min {incremental['min_speedup']:.3f}x  "
-            f"mean {incremental['mean_speedup']:.3f}x"
-        )
-        scaling = report["sweeps"]["sharded_scaling"]
-        if "speedup" in scaling:
-            print(
-                f"sharded scaling: 1 shard {scaling['one_shard_s']:.4f}s  "
-                f"{scaling['shards']} shards {scaling['sharded_s']:.4f}s  "
-                f"speedup {scaling['speedup']:.2f}x"
-            )
-        else:
-            print(f"sharded scaling: skipped ({scaling['skipped']})")
-        replication = report["sweeps"]["replication_overhead"]
-        if "overhead" in replication:
-            print(
-                f"replication overhead: plain {replication['plain_s']:.4f}s  "
-                f"replicated {replication['replicated_s']:.4f}s  "
-                f"overhead {replication['overhead']:.2f}x"
-            )
-        else:
-            print(f"replication overhead: skipped ({replication['skipped']})")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}")
-            return 1
-        print(
-            "OK: plan-cache speedup, governor overhead, service overhead, "
-            "durable overhead, join-order speedup, extrema speedup, "
-            "incremental speedup, sharded scaling and replication "
-            "overhead within tolerance"
-        )
+    for entry in SWEEPS:
+        print("\n".join(_summary(entry, report["sweeps"][entry.name])))
+    if not args.check:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
         return 0
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
-    for row in rows:
-        print(
-            f"  tc n={row['size']:>4}  before {row['before_s']:.4f}s  "
-            f"after {row['after_s']:.4f}s  speedup {row['speedup']:.2f}x"
-        )
-    join = report["sweeps"]["join_order"]
-    for row in join["rows"]:
-        print(
-            f"  join n={row['size']:>4}  written {row['written_s']:.4f}s  "
-            f"greedy {row['greedy_s']:.4f}s  speedup {row['speedup']:.2f}x"
-        )
-    extrema = report["sweeps"]["extrema_pushdown"]
-    for row in extrema["rows"]:
-        print(
-            f"  ext n={row['size']:>4}  post {row['post_s']:.4f}s  "
-            f"pushdown {row['pushdown_s']:.4f}s  speedup {row['speedup']:.2f}x"
-        )
+    baseline_path = Path(args.baseline) if args.baseline else out
+    failures = check_against_baseline(report, json.loads(baseline_path.read_text()))
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if failures:
+        return 1
+    print(f"OK: every gate in SWEEPS holds against {baseline_path}")
     return 0
 
 

@@ -113,7 +113,9 @@ def paired_sweep(
     """:func:`sweep` for two operations on the same inputs, **interleaved**:
     every repeat times the first operation, then the second, so a change
     in machine speed during the sweep hits both sides alike instead of
-    moving their ratio.  Each side records its best of *repeats*.
+    moving their ratio.  Each side runs once untimed per size before the
+    timed repeats (a first call can pay one-off costs such as a lazy
+    import or a cold cache) and records its best of *repeats*.
 
     Raises:
         EmptySweepError: as :func:`sweep`.
@@ -128,6 +130,8 @@ def paired_sweep(
     results = (SweepResult(labels[0]), SweepResult(labels[1]))
     for size in sizes:
         payload = make_input(size)
+        for operation in operations:
+            operation(payload)
         best = [math.inf, math.inf]
         outputs: List[Any] = [None, None]
         for _ in range(repeats):

@@ -101,12 +101,13 @@ class TestPairedSweep:
             ),
             repeats=3,
         )
-        # Interleaved per repeat, not one block per side: a machine-speed
+        # One untimed warm-up call per side per size, then the timed
+        # repeats interleaved, not one block per side: a machine-speed
         # change mid-sweep hits both sides alike.
-        assert calls == [("before", 1), ("after", 1)] * 3 + [
+        assert calls == [("before", 1), ("after", 1)] * (1 + 3) + [
             ("before", 2),
             ("after", 2),
-        ] * 3
+        ] * (1 + 3)
         assert (before.label, after.label) == ("before", "after")
         assert before.sizes == after.sizes == [1, 2]
         assert [p.payload for p in before.points] == [-1, -2]
